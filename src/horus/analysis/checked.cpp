@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "horus/core/events.hpp"
+#include "horus/core/stack.hpp"
 
 namespace horus::analysis {
 
@@ -251,6 +252,9 @@ std::unique_ptr<LayerState> CheckedLayer::make_state(Group& g) {
 void CheckedLayer::attach(Stack& s, std::size_t index) {
   Layer::attach(s, index);
   inner_->attach(s, index);
+  // The wrapped layers own the stack's monitor: whoever builds the stack
+  // (endpoint, cactus stack, live reconfiguration) gets it installed.
+  s.set_monitor(monitor_.get());
   monitor_->register_layer(index, inner_->info().name,
                            inner_->info().up_emits);
 }

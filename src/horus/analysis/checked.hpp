@@ -12,7 +12,7 @@
 //     receive-path message or pops from a send-path message;
 //   * no re-entrant down() -- the application must not re-enter the stack
 //     synchronously from within a delivery upcall (the executor's post
-//     discipline; InlineExecutor-style setups can violate it);
+//     discipline; an executor that runs tasks inline can violate it);
 //   * no use-after-forward -- once a layer passes its entry event on, the
 //     event and its message belong to the next layer; touching them again
 //     (second forward, late header edit) is a contract violation;
@@ -140,7 +140,8 @@ class CheckedLayer final : public Layer {
 };
 
 /// Wrap every layer of a freshly built stack in a CheckedLayer reporting
-/// to `monitor`.
+/// to `monitor`. Attaching the wrapped layers to a Stack installs
+/// `monitor` as that stack's HcpiMonitor.
 std::vector<std::unique_ptr<Layer>> wrap_checked(
     std::vector<std::unique_ptr<Layer>> layers,
     const std::shared_ptr<ContractMonitor>& monitor);

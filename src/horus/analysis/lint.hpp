@@ -9,8 +9,9 @@
 // typos with a did-you-mean suggestion.
 //
 // The same engine runs in three places: the `horus-lint` CLI (tools/),
-// the CI spec sweep (scripts/lint_specs.sh), and endpoint creation when
-// HorusSystem::Options::validate_stacks is on.
+// the CI spec sweep (scripts/lint_specs.sh), and endpoint creation
+// (HorusSystem and net::NodeRuntime, unless a stack_factory supplies the
+// layers).
 #pragma once
 
 #include <cstddef>

@@ -52,12 +52,6 @@ class HorusSystem {
     /// interleaving -- use for throughput benches, soak tests and the
     /// concurrency stress tests, not for deterministic scenario tests.
     unsigned shards = 0;
-    /// Run horus-lint over every stack spec before instantiating it and
-    /// reject ill-formed specs (std::invalid_argument carrying the full
-    /// lint report) at endpoint creation. On by default: creating an
-    /// endpoint whose stack cannot deliver its own layers' requirements
-    /// is always a bug.
-    bool validate_stacks = true;
     /// Wrap every layer in an analysis::CheckedLayer and install a
     /// ContractMonitor on the stack, recording HCPI contract violations
     /// (header push/pop discipline, re-entrant down(), use-after-forward,
@@ -98,36 +92,15 @@ class HorusSystem {
     if (opts_.shards > 0) {
       exec = std::make_unique<runtime::ShardedExecutor>(opts_.shards);
     }
-    auto [layers, monitor] = build_layers(stack_spec);
-    auto ep = std::make_unique<Endpoint>(addr, opts_.stack, std::move(layers),
+    auto ep = std::make_unique<Endpoint>(addr, opts_.stack,
+                                         build_layers(stack_spec),
                                          opts_.network_properties, transport_,
                                          sched_, std::move(exec));
     Endpoint& ref = *ep;
-    if (monitor) ref.stack().set_monitor(monitor.get());
-    // Live reconfiguration builds stacks at run time from spec strings; the
-    // factory mirrors this system's stack construction (including contract
-    // wrapping), and the hook attaches the monitor to the new stack.
-    ref.set_layer_factory([this](const std::string& spec) {
-      auto layers = opts_.stack_factory ? opts_.stack_factory(spec)
-                                        : layers::make_stack(spec);
-      if (opts_.check_contracts) {
-        auto mon = std::make_shared<analysis::ContractMonitor>();
-        layers = analysis::wrap_checked(std::move(layers), mon);
-        {
-          std::lock_guard lock(monitors_mu_);
-          monitors_.push_back(mon);
-        }
-        pending_monitor() = std::move(mon);
-      }
-      return layers;
-    });
-    ref.set_stack_hook([](Stack& s) {
-      auto& pm = pending_monitor();
-      if (pm) {
-        s.set_monitor(pm.get());
-        pm.reset();
-      }
-    });
+    // Live reconfiguration builds its stacks the same way, minus the lint:
+    // Endpoint::reconfigure checks the property transition instead.
+    ref.set_layer_factory(
+        [this](const std::string& spec) { return instantiate(spec); });
     transport_.bind(ref);
     endpoints_.push_back(std::move(ep));
     return ref;
@@ -138,10 +111,7 @@ class HorusSystem {
   /// "multiple endpoints on a single base endpoint"). Join groups on it
   /// with Endpoint::join_on.
   Stack& add_stack(Endpoint& ep, const std::string& stack_spec) {
-    auto [layers, monitor] = build_layers(stack_spec);
-    Stack& s = ep.add_stack(std::move(layers), opts_.network_properties);
-    if (monitor) s.set_monitor(monitor.get());
-    return s;
+    return ep.add_stack(build_layers(stack_spec), opts_.network_properties);
   }
 
   /// The contract monitors created for check_contracts stacks, in creation
@@ -206,21 +176,12 @@ class HorusSystem {
   }
 
  private:
-  /// A reconfiguration factory hands its freshly created monitor to the
-  /// stack hook through here. Factory and hook run back to back on the
-  /// same thread (inside Endpoint::build_epoch_stack), so a thread-local
-  /// slot is race-free even with sharded executors.
-  static std::shared_ptr<analysis::ContractMonitor>& pending_monitor() {
-    thread_local std::shared_ptr<analysis::ContractMonitor> pm;
-    return pm;
-  }
-
-  /// Lint (when validate_stacks), instantiate, and optionally wrap a stack
-  /// spec; shared by create_endpoint and add_stack.
-  std::pair<std::vector<std::unique_ptr<Layer>>,
-            std::shared_ptr<analysis::ContractMonitor>>
-  build_layers(const std::string& stack_spec) {
-    if (opts_.validate_stacks && !opts_.stack_factory) {
+  /// Lint (unless a stack_factory supplies the layers) and instantiate a
+  /// stack spec; shared by create_endpoint and add_stack. Ill-formed specs
+  /// throw std::invalid_argument carrying the full lint report.
+  std::vector<std::unique_ptr<Layer>> build_layers(
+      const std::string& stack_spec) {
+    if (!opts_.stack_factory) {
       analysis::LintReport rep =
           analysis::lint_spec(stack_spec, opts_.network_properties);
       if (!rep.ok()) {
@@ -228,16 +189,23 @@ class HorusSystem {
                                     "\n" + rep.to_string());
       }
     }
-    auto layers = opts_.stack_factory ? opts_.stack_factory(stack_spec)
-                                      : layers::make_stack(stack_spec);
-    std::shared_ptr<analysis::ContractMonitor> monitor;
+    return instantiate(stack_spec);
+  }
+
+  /// Build a spec's layers, wrapped in CheckedLayers when check_contracts
+  /// is on. The wrapped layers install their monitor on whichever stack
+  /// they are attached to, so endpoint stacks, cactus stacks and stacks
+  /// built by live reconfiguration are all covered.
+  std::vector<std::unique_ptr<Layer>> instantiate(const std::string& spec) {
+    auto layers = opts_.stack_factory ? opts_.stack_factory(spec)
+                                      : layers::make_stack(spec);
     if (opts_.check_contracts) {
-      monitor = std::make_shared<analysis::ContractMonitor>();
+      auto monitor = std::make_shared<analysis::ContractMonitor>();
       layers = analysis::wrap_checked(std::move(layers), monitor);
       std::lock_guard lock(monitors_mu_);
-      monitors_.push_back(monitor);
+      monitors_.push_back(std::move(monitor));
     }
-    return {std::move(layers), std::move(monitor)};
+    return layers;
   }
 
   Options opts_;

@@ -346,7 +346,6 @@ Stack* Endpoint::build_epoch_stack(const std::string& spec,
   } catch (const std::exception&) {
     return nullptr;
   }
-  if (on_stack_built_) on_stack_built_(*ns);
   Stack* raw = ns.get();
   util::MutexLock lock(epoch_stacks_mu_);
   epoch_stacks_.push_back(std::move(ns));

@@ -114,11 +114,6 @@ class Endpoint {
   /// build new layer chains (normally layers::make_stack, wired up by
   /// HorusSystem). Without it reconfigure() throws.
   void set_layer_factory(LayerFactory f) { layer_factory_ = std::move(f); }
-  /// Called for every stack built by a live switch, before it goes live
-  /// (contract-monitor installation and similar instrumentation).
-  void set_stack_hook(std::function<void(Stack&)> h) {
-    on_stack_built_ = std::move(h);
-  }
   [[nodiscard]] props::PropertySet network_properties() const {
     return net_props_;
   }
@@ -218,7 +213,6 @@ class Endpoint {
   std::vector<std::unique_ptr<Stack>> epoch_stacks_
       GUARDED_BY(epoch_stacks_mu_);
   LayerFactory layer_factory_;
-  std::function<void(Stack&)> on_stack_built_;
   // Written on the application thread (join/leave), read on every executor
   // shard (each task re-finds its group). Lookups take the shared side so
   // the receive hot path never contends with other readers.

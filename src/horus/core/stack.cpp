@@ -411,13 +411,6 @@ void Stack::app_up(Group& g, UpEvent& ev) {
   owner_->deliver_app_upcall(g, ev);
 }
 
-void Stack::transport_send(Address dst, const Message& msg) {
-  transport_send_raw(dst, msg.to_wire(region_bytes()), msg.payload_size());
-}
-
-// (Transport layers normally build the framed wire themselves via
-// transport_send_raw; transport_send is kept for simple adapters.)
-
 void Stack::transport_send_raw(Address dst, ByteSpan wire,
                                std::size_t payload_size) {
   stats_.datagrams_sent.fetch_add(1, std::memory_order_relaxed);

@@ -231,9 +231,6 @@ class Stack {
   /// Above the top layer: deliver an upcall to the application.
   void app_up(Group& g, UpEvent& ev);
 
-  /// Below the bottom layer: serialize and transmit.
-  void transport_send(Address dst, const Message& msg);
-
   /// Transmit an already-serialized datagram (transport layers that add
   /// trailers serialize themselves); `wire` must already begin with the
   /// group-id prefix. `payload_size` is for stats only.

@@ -17,14 +17,13 @@ props::PropertySet wire_properties() {
   return props::make_set({props::Property::kBestEffort});
 }
 
-std::vector<std::unique_ptr<Layer>> build_layers(const std::string& spec,
-                                                 bool validate) {
-  if (validate) {
-    analysis::LintReport rep = analysis::lint_spec(spec, wire_properties());
-    if (!rep.ok()) {
-      throw std::invalid_argument("ill-formed stack spec " + spec + "\n" +
-                                  rep.to_string());
-    }
+/// Lint, then instantiate: an ill-formed stack is rejected at startup with
+/// the full report instead of misbehaving on the wire.
+std::vector<std::unique_ptr<Layer>> build_layers(const std::string& spec) {
+  analysis::LintReport rep = analysis::lint_spec(spec, wire_properties());
+  if (!rep.ok()) {
+    throw std::invalid_argument("ill-formed stack spec " + spec + "\n" +
+                                rep.to_string());
   }
   return layers::make_stack(spec);
 }
@@ -37,7 +36,7 @@ NodeRuntime::NodeRuntime(const AddressBook& book, Address self,
       self_(self),
       cfg_(std::move(cfg)),
       udp_(book_, self_, cfg_.udp),
-      driver_(sched_, cfg_.time_factor) {
+      driver_(sched_) {
   // FRAG must target what the socket will carry, not its own default.
   cfg_.stack.mtu = cfg_.udp.mtu;
   Transport* wire = &udp_;
@@ -48,13 +47,10 @@ NodeRuntime::NodeRuntime(const AddressBook& book, Address self,
   auto exec = std::make_unique<runtime::ShardedExecutor>(
       cfg_.shards > 0 ? cfg_.shards : 1);
   endpoint_ = std::make_unique<Endpoint>(
-      self_, cfg_.stack, build_layers(cfg_.spec, cfg_.validate_stacks),
-      wire_properties(), *wire, sched_, std::move(exec));
+      self_, cfg_.stack, build_layers(cfg_.spec), wire_properties(), *wire,
+      sched_, std::move(exec));
   // Live reconfiguration needs the same spec->layers construction.
-  const bool validate = cfg_.validate_stacks;
-  endpoint_->set_layer_factory([validate](const std::string& spec) {
-    return build_layers(spec, validate);
-  });
+  endpoint_->set_layer_factory(&build_layers);
   driver_.add_executor(endpoint_->executor());
   udp_.bind(*endpoint_);
   register_metrics();

@@ -42,11 +42,6 @@ struct NodeConfig {
   /// Executor shards (kernel threads running protocol code). Clamped to
   /// >= 1: UDP delivery requires a thread-safe executor.
   unsigned shards = 1;
-  /// RealTimeDriver speedup; 1.0 = wall clock.
-  double time_factor = 1.0;
-  /// Lint the spec before instantiating it (reject ill-formed stacks at
-  /// startup with the full report instead of misbehaving on the wire).
-  bool validate_stacks = true;
 };
 
 class NodeRuntime {

@@ -1,5 +1,6 @@
 #include "horus/runtime/executor.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #ifdef HORUS_METRICS
@@ -34,128 +35,59 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
-void MonitorExecutor::post(Task t) {
-  queue_.push_back(std::move(t));
-  if (running_) return;  // the draining frame below us will pick it up
-  RunningGuard guard(running_);
-  while (!queue_.empty()) {
-    Task task = std::move(queue_.front());
-    queue_.pop_front();
-    task();  // may throw: guard unlatches running_, the rest stay queued
-  }
-}
-
-void GroupExecutor::post(GroupKey key, Task t) {
+Task Executor::wrap([[maybe_unused]] GroupKey key, Task t,
+                    [[maybe_unused]] bool probe) const {
 #ifdef HORUS_METRICS
-  // Innermost wrap: the delay probe times queue residency only, not the
-  // race bookkeeping the outer wrapper adds.
-  t = obs::wrap_queue_delay_probe(std::move(t));
+  if (probe) t = obs::wrap_queue_delay_probe(std::move(t));
 #endif
 #ifdef HORUS_CHECK_RACES
-  t = race::wrap_task(static_cast<const Executor*>(this), key, std::move(t));
+  t = race::wrap_task(this, key, std::move(t));
 #endif
-  groups_[key].push_back(std::move(t));
-  order_.push_back(key);
-  if (running_) return;
+  return t;
+}
+
+void Executor::post_batch(GroupKey key, std::vector<Task> tasks) {
+  if (tasks.empty()) return;
+  if (tasks.size() == 1) {
+    post(key, std::move(tasks[0]));
+    return;
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i] = wrap(key, std::move(tasks[i]), /*probe=*/i == 0);
+  }
+  enqueue_batch(key, std::move(tasks));
+}
+
+void Executor::enqueue_batch(GroupKey key, std::vector<Task> tasks) {
+  enqueue(key, [tasks = std::move(tasks)]() {
+    for (const Task& t : tasks) t();
+  });
+}
+
+void GroupExecutor::enqueue(GroupKey key, Task t) {
+  if (size_ == ring_.size()) grow();
+  ring_[(head_ + size_) & (ring_.size() - 1)] = {key, std::move(t)};
+  ++size_;
+  if (running_) return;  // the draining frame below us will pick it up
   RunningGuard guard(running_);
-  while (!order_.empty()) {
-    GroupKey k = order_.front();
-    order_.pop_front();
-    auto it = groups_.find(k);
-    std::deque<Task>& q = it->second;
-    Task task = std::move(q.front());
-    q.pop_front();
-    if (q.empty()) groups_.erase(it);  // keep the map from growing unbounded
+  while (size_ != 0) {
+    auto [k, task] = std::move(ring_[head_]);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
     ++executed_;
     if (trace_) trace_(k, executed_);
     task();  // may throw: guard unlatches running_, the rest stay queued
   }
 }
 
-void SequencedExecutor::post(Task t) {
-  std::unique_lock lock(mu_);
-  std::uint64_t ticket = next_ticket_++;
-  pending_[ticket] = std::move(t);
-  if (running_) return;
-  running_ = true;
-  while (true) {
-    auto it = pending_.find(next_to_run_);
-    if (it == pending_.end()) break;
-    Task task = std::move(it->second);
-    pending_.erase(it);
-    ++next_to_run_;
-    lock.unlock();
-    try {
-      task();
-    } catch (...) {
-      // Re-latch under the lock so a throwing task cannot wedge the queue;
-      // later posts resume from next_to_run_.
-      lock.lock();
-      running_ = false;
-      throw;
-    }
-    lock.lock();
+void GroupExecutor::grow() {
+  std::vector<std::pair<GroupKey, Task>> bigger(
+      std::max<std::size_t>(16, 2 * ring_.size()));
+  for (std::size_t i = 0; i < size_; ++i) {
+    bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
   }
-  running_ = false;
-}
-
-void SequencedExecutor::drain() {
-  // All work is executed eagerly by post(); nothing to do.
-}
-
-ThreadPoolExecutor::ThreadPoolExecutor(unsigned threads) {
-  if (threads == 0) threads = 1;
-  threads_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { worker(); });
-  }
-}
-
-ThreadPoolExecutor::~ThreadPoolExecutor() {
-  {
-    util::MutexLock lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPoolExecutor::post(Task t) {
-  {
-    util::MutexLock lock(mu_);
-    queue_.push_back(std::move(t));
-  }
-  cv_.notify_one();
-}
-
-void ThreadPoolExecutor::drain() {
-  std::unique_lock lock(mu_.native());
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  HORUS_RACE_ACQUIRE_ALL();
-}
-
-void ThreadPoolExecutor::worker() {
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock lock(mu_.native());
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    {
-      // One thread inside the stack at a time, as in threaded Horus.
-      util::MutexLock stack_lock(stack_mu_);
-      task();
-    }
-    {
-      util::MutexLock lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
 ShardedExecutor::ShardedExecutor(unsigned shards) {
@@ -189,13 +121,7 @@ unsigned ShardedExecutor::shard_of(GroupKey key) const {
   return static_cast<unsigned>(mix(key) % shards_.size());
 }
 
-void ShardedExecutor::post(GroupKey key, Task t) {
-#ifdef HORUS_METRICS
-  t = obs::wrap_queue_delay_probe(std::move(t));
-#endif
-#ifdef HORUS_CHECK_RACES
-  t = race::wrap_task(static_cast<const Executor*>(this), key, std::move(t));
-#endif
+void ShardedExecutor::enqueue(GroupKey key, Task t) {
   Shard& s = *shards_[shard_of(key)];
   inflight_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -205,17 +131,7 @@ void ShardedExecutor::post(GroupKey key, Task t) {
   s.cv.notify_one();
 }
 
-void ShardedExecutor::post_batch(GroupKey key, std::vector<Task> tasks) {
-  if (tasks.empty()) return;
-#ifdef HORUS_METRICS
-  // Probe only the first task of a batch: one enqueue, one delay sample.
-  tasks.front() = obs::wrap_queue_delay_probe(std::move(tasks.front()));
-#endif
-#ifdef HORUS_CHECK_RACES
-  for (Task& t : tasks) {
-    t = race::wrap_task(static_cast<const Executor*>(this), key, std::move(t));
-  }
-#endif
+void ShardedExecutor::enqueue_batch(GroupKey key, std::vector<Task> tasks) {
   Shard& s = *shards_[shard_of(key)];
   inflight_.fetch_add(tasks.size(), std::memory_order_relaxed);
   {

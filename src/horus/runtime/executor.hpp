@@ -3,30 +3,16 @@
 // Horus originally ran stacks with pre-emptive threads and per-layer locks,
 // and the paper reports that locking was "a source of bugs in layers
 // developed by inexperienced thread users" plus a measurable cost (Section
-// 10, problem 2). It describes three remedies, all implemented here:
+// 10, problem 2). Its remedy is a monitor that "treats a layer as a
+// monitor, allowing only one thread at a time to be active for each group
+// object": a run-to-completion event queue. The monitor is per *group
+// object*, not per stack -- two groups on one stack are independent
+// monitors and may progress concurrently. Two executors realize that
+// reading:
 //
-//  * InlineExecutor    -- direct procedure calls (the baseline; reentrant).
-//  * MonitorExecutor   -- "treats a layer as a monitor, allowing only one
-//                         thread at a time to be active for each group
-//                         object": a run-to-completion event queue. This is
-//                         also the paper's non-threaded "event queue model"
-//                         (one scheduling thread per stack).
-//  * SequencedExecutor -- the event-counter scheme: every posted task gets
-//                         a sequence number and tasks execute in sequence
-//                         order even if posted from multiple threads.
-//  * ThreadPoolExecutor-- real kernel threads with a per-stack mutex, used
-//                         by bench_exec_models to measure what intra-stack
-//                         threading actually costs.
-//
-// The paper's monitor is per *group object*, not per stack -- two groups on
-// one stack are independent monitors and may progress concurrently. Two
-// executors realize that reading:
-//
-//  * GroupExecutor     -- the deterministic facade (the default): every
-//                         task is routed through a per-group run-to-
-//                         completion queue, drained by the calling thread
-//                         in global FIFO order. Dispatch order is
-//                         bit-identical to MonitorExecutor, so simulated
+//  * GroupExecutor     -- the deterministic monitor (the default): one
+//                         run-to-completion FIFO drained by the calling
+//                         thread in global post order, so simulated
 //                         worlds stay reproducible.
 //  * ShardedExecutor   -- the parallel runtime: groups hash onto N worker
 //                         shards, each an MPSC run queue drained by one
@@ -34,6 +20,10 @@
 //                         group (its shard's), so layer code still needs no
 //                         locks -- Section 10's lesson -- while independent
 //                         groups use as many cores as there are shards.
+//
+// The paper's other models (direct calls, the event-counter scheme, a
+// thread pool with a per-stack lock) exist only to be measured; they live
+// in bench/bench_exec_models.cpp.
 #pragma once
 
 #include <atomic>
@@ -41,11 +31,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "horus/analysis/race.hpp"
@@ -65,71 +53,40 @@ constexpr GroupKey kNoGroup = 0;
 class Executor {
  public:
   virtual ~Executor() = default;
-  /// Submit a task. Depending on the model it may run before post returns.
-  virtual void post(Task t) = 0;
   /// Submit a task bound to a group, the unit of mutual exclusion
-  /// (Section 3). Models that do not shard ignore the key (but horus-race
-  /// still frames the task with it, so ownership probes see who it ran as).
-  virtual void post(GroupKey key, Task t) {
-    (void)key;
-#ifdef HORUS_CHECK_RACES
-    t = race::wrap_task(this, key, std::move(t));
-#endif
-    post(std::move(t));
-  }
+  /// (Section 3). Depending on the model it may run before post returns.
+  void post(GroupKey key, Task t) { enqueue(key, wrap(key, std::move(t))); }
   /// Submit several tasks bound to one group as a unit: they run in order,
   /// back to back, costing one queue round-trip instead of one per task
-  /// (the delivery-side half of the packing accelerator). Default:
-  /// compose into a single task; models with real queues override to
-  /// enqueue the tasks individually under one lock acquisition.
-  virtual void post_batch(GroupKey key, std::vector<Task> tasks) {
-    if (tasks.empty()) return;
-    if (tasks.size() == 1) {
-      post(key, std::move(tasks[0]));
-      return;
-    }
-    post(key, [tasks = std::move(tasks)]() {
-      for (const Task& t : tasks) t();
-    });
-  }
-
-  /// Run until no queued work remains (no-op for inline/threaded models
-  /// that do not queue).
+  /// (the delivery-side half of the packing accelerator).
+  void post_batch(GroupKey key, std::vector<Task> tasks);
+  /// Run until no queued work remains (no-op for models that do not
+  /// queue).
   virtual void drain() {}
-};
-
-/// Direct calls; tasks run immediately and may re-enter the stack.
-class InlineExecutor final : public Executor {
- public:
-  using Executor::post;
-  void post(Task t) override { t(); }
-};
-
-/// Run-to-completion queue: while a task is executing, tasks it posts are
-/// queued behind it. Exactly one logical thread is ever inside the stack,
-/// which is the monitor semantics the paper recommends.
-class MonitorExecutor final : public Executor {
- public:
-  using Executor::post;
-  void post(Task t) override;
 
  private:
-  std::deque<Task> queue_;
-  bool running_ = false;
+  /// The one place tasks are instrumented: the queue-delay probe innermost
+  /// (it times queue residency only, not the race bookkeeping), the
+  /// horus-race group frame outermost. A batch probes only its first task:
+  /// one enqueue, one delay sample.
+  Task wrap(GroupKey key, Task t, bool probe = true) const;
+  /// Queue (or run) an already-wrapped task.
+  virtual void enqueue(GroupKey key, Task t) = 0;
+  /// Queue an already-wrapped batch of two or more tasks. Default: compose
+  /// into a single task; models with real queues override to enqueue the
+  /// tasks individually under one lock acquisition.
+  virtual void enqueue_batch(GroupKey key, std::vector<Task> tasks);
 };
 
-/// The per-group monitor facade (Section 3 read literally: "one thread at a
-/// time ... active for each group object"). Single-threaded and
-/// deterministic: each group owns a run-to-completion queue, and the
-/// calling thread drains them in global FIFO post order, so the observable
-/// schedule is bit-identical to MonitorExecutor while the bookkeeping keeps
-/// groups separate (per-group depth, ready-group rotation). This is the
-/// default executor for endpoints; ShardedExecutor is its parallel twin.
+/// The per-group monitor (Section 3 read literally: "one thread at a time
+/// ... active for each group object"). Single-threaded and deterministic:
+/// while a task runs, tasks it posts -- for any group -- queue behind it,
+/// and the calling thread drains one FIFO in global post order. That order
+/// is the observable schedule horus-check hashes, so it never depends on
+/// which groups are involved. This is the default executor for endpoints;
+/// ShardedExecutor is its parallel twin.
 class GroupExecutor final : public Executor {
  public:
-  void post(Task t) override { post(kNoGroup, std::move(t)); }
-  void post(GroupKey key, Task t) override;
-
   /// Observe every dispatch decision: called with (group, dispatch
   /// sequence) immediately before each task runs. horus-check folds this
   /// stream into its run hash so that a replay divergence in *scheduling*
@@ -137,67 +94,24 @@ class GroupExecutor final : public Executor {
   using DispatchTrace = std::function<void(GroupKey, std::uint64_t)>;
   void set_trace(DispatchTrace t) { trace_ = std::move(t); }
 
-  /// Queued (not yet started) tasks across all groups / for one group.
-  [[nodiscard]] std::size_t pending() const { return order_.size(); }
-  [[nodiscard]] std::size_t pending(GroupKey key) const {
-    auto it = groups_.find(key);
-    return it != groups_.end() ? it->second.size() : 0;
-  }
+  /// Queued (not yet started) tasks.
+  [[nodiscard]] std::size_t pending() const { return size_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
-  // Per-group FIFO queues plus the global post-order ticket list that fixes
-  // the (deterministic) dispatch order across groups.
-  std::unordered_map<GroupKey, std::deque<Task>> groups_;
-  std::deque<GroupKey> order_;
+  void enqueue(GroupKey key, Task t) override;
+  void grow();
+
+  // The FIFO is a ring over a power-of-two vector that only grows: slots
+  // are reused in place, so once warmed up a post touches the heap for
+  // nothing but the task itself (a std::deque allocates a chunk every
+  // dozen tasks).
+  std::vector<std::pair<GroupKey, Task>> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t executed_ = 0;
   bool running_ = false;
   DispatchTrace trace_;
-};
-
-/// Event-counter model: tasks carry sequence numbers assigned at post time
-/// and execute strictly in sequence order. Thread-safe.
-class SequencedExecutor final : public Executor {
- public:
-  using Executor::post;
-  void post(Task t) override;
-  void drain() override;
-
- private:
-  std::mutex mu_;
-  std::uint64_t next_ticket_ = 0;   // next sequence number to hand out
-  std::uint64_t next_to_run_ = 0;   // next sequence number allowed to run
-  std::map<std::uint64_t, Task> pending_;
-  bool running_ = false;
-};
-
-/// Kernel-thread pool with a per-executor mutex around task bodies. Used to
-/// measure the cost of intra-stack threading (Section 10 problem 2).
-class ThreadPoolExecutor final : public Executor {
- public:
-  using Executor::post;
-  explicit ThreadPoolExecutor(unsigned threads = 2);
-  ~ThreadPoolExecutor() override;
-  ThreadPoolExecutor(const ThreadPoolExecutor&) = delete;
-  ThreadPoolExecutor& operator=(const ThreadPoolExecutor&) = delete;
-
-  void post(Task t) override;
-  /// Condition waits release/reacquire the lock in a pattern the static
-  /// analysis cannot follow, hence the opt-out; the dynamic sanitizers
-  /// (TSan job) cover these paths instead.
-  void drain() override NO_THREAD_SAFETY_ANALYSIS;
-
- private:
-  void worker() NO_THREAD_SAFETY_ANALYSIS;
-
-  util::Mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::deque<Task> queue_ GUARDED_BY(mu_);
-  std::vector<std::thread> threads_;
-  util::Mutex stack_mu_;  // the per-stack lock the paper talks about
-  unsigned active_ GUARDED_BY(mu_) = 0;
-  bool stop_ GUARDED_BY(mu_) = false;
 };
 
 /// The sharded runtime: groups hash onto N shards, each an MPSC run queue
@@ -216,11 +130,6 @@ class ShardedExecutor final : public Executor {
   ShardedExecutor(const ShardedExecutor&) = delete;
   ShardedExecutor& operator=(const ShardedExecutor&) = delete;
 
-  void post(Task t) override { post(kNoGroup, std::move(t)); }
-  void post(GroupKey key, Task t) override;
-  /// One lock acquisition and one wakeup for the whole burst; the tasks
-  /// stay individually queued, so per-task exception isolation holds.
-  void post_batch(GroupKey key, std::vector<Task> tasks) override;
   /// Block until every posted task (including tasks posted by tasks) has
   /// finished. Callable from any thread that is not a shard worker.
   /// (Opted out of the static lock analysis: the condition wait's
@@ -246,6 +155,10 @@ class ShardedExecutor final : public Executor {
     std::thread thread;
   };
 
+  void enqueue(GroupKey key, Task t) override;
+  /// One lock acquisition and one wakeup for the whole burst; the tasks
+  /// stay individually queued, so per-task exception isolation holds.
+  void enqueue_batch(GroupKey key, std::vector<Task> tasks) override;
   void worker(Shard& s) NO_THREAD_SAFETY_ANALYSIS;
 
   std::vector<std::unique_ptr<Shard>> shards_;

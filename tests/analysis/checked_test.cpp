@@ -141,7 +141,6 @@ struct CheckedWorld {
     ep = std::make_unique<Endpoint>(Address{7}, StackConfig{},
                                     analysis::wrap_checked(std::move(layers), mon),
                                     p1(), transport, sched);
-    ep->stack().set_monitor(mon.get());
     transport.bind(*ep);
     ep->join(kGroup);
     ep->install_view(kGroup, {ep->address()});
@@ -280,6 +279,51 @@ TEST(Checked, TransformAndOrderingStacksClean) {
     w.sys.run_for(50 * sim::kMillisecond);
   }
   w.sys.run_for(2 * sim::kSecond);
+  expect_clean(w.sys, w);
+}
+
+TEST(Checked, LiveReconfigureInstallsMonitorOnNewEpoch) {
+  // The wrapped layers own the monitor hand-off: a stack built by a live
+  // switch is checked exactly like the one the endpoint was created with.
+  HorusSystem::Options o;
+  o.check_contracts = true;
+  World w(3, "TOTAL:MBRSHIP:FRAG:NAK:COM", o);
+  w.form_group();
+  ASSERT_TRUE(w.converged());
+  std::vector<HcpiMonitor*> old_monitors;
+  for (Endpoint* ep : w.eps) {
+    old_monitors.push_back(ep->group(kGroup).stack().monitor());
+    ASSERT_NE(old_monitors.back(), nullptr);
+  }
+
+  w.eps[1]->reconfigure(kGroup, "TOTAL:MBRSHIP:FRAG:MCAST:NNAK:COM");
+  w.sys.run_for(3 * sim::kSecond);
+  for (std::size_t i = 0; i < w.eps.size(); ++i) {
+    w.eps[i]->cast(kGroup, Message::from_string("post-" + std::to_string(i)));
+  }
+  w.sys.run_for(2 * sim::kSecond);
+
+  const auto& all = w.sys.monitors();
+  ASSERT_FALSE(all.empty());
+  auto registered = [&all](const HcpiMonitor* m) {
+    for (const auto& mon : all) {
+      if (mon.get() == m) return true;
+    }
+    return false;
+  };
+  bool newest_is_an_epoch_stack = false;
+  for (std::size_t i = 0; i < w.eps.size(); ++i) {
+    Stack& s = w.eps[i]->group(kGroup).stack();
+    ASSERT_EQ(s.epoch(), 1u) << "member " << i;
+    HcpiMonitor* m = s.monitor();
+    ASSERT_NE(m, nullptr) << "member " << i;
+    EXPECT_NE(m, old_monitors[i]) << "member " << i;
+    EXPECT_TRUE(registered(m)) << "member " << i;
+    if (m == all.back().get()) newest_is_an_epoch_stack = true;
+    EXPECT_EQ(w.logs[i].casts.size(), w.eps.size()) << "member " << i;
+  }
+  EXPECT_TRUE(newest_is_an_epoch_stack)
+      << "the last stack built must carry the newest monitor";
   expect_clean(w.sys, w);
 }
 

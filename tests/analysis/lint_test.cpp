@@ -266,10 +266,10 @@ TEST(Lint, TransitionFromIllFormedOldStackReportsFullGain) {
   EXPECT_EQ(tc.gained, tc.new_provided);
 }
 
-// -- runtime wiring: validate_stacks ------------------------------------------
+// -- runtime wiring: endpoint creation lints ---------------------------------
 
 TEST(Lint, EndpointCreationRejectsIllFormedSpecNamingOffender) {
-  HorusSystem sys;  // validate_stacks defaults to on
+  HorusSystem sys;
   try {
     sys.create_endpoint("TOTAL:FRAG:COM");
     FAIL() << "ill-formed spec must be rejected at endpoint creation";

@@ -3,121 +3,61 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
+#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace horus::runtime {
 namespace {
 
-TEST(InlineExecutor, RunsImmediately) {
-  InlineExecutor ex;
-  int ran = 0;
-  ex.post([&] { ++ran; });
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(InlineExecutor, Reentrant) {
-  InlineExecutor ex;
-  std::vector<int> order;
-  ex.post([&] {
-    order.push_back(1);
-    ex.post([&] { order.push_back(2); });  // runs inside the outer task
-    order.push_back(3);
-  });
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(MonitorExecutor, RunToCompletion) {
+// GroupExecutor is the paper's monitor: the behaviour tests below pin down
+// run-to-completion, FIFO order and exception safety.
+TEST(GroupExecutor, RunToCompletion) {
   // The defining monitor property: a task posted from inside a task runs
   // AFTER the current task finishes -- one logical thread in the stack.
-  MonitorExecutor ex;
+  GroupExecutor ex;
   std::vector<int> order;
-  ex.post([&] {
+  ex.post(kNoGroup, [&] {
     order.push_back(1);
-    ex.post([&] { order.push_back(2); });
+    ex.post(kNoGroup, [&] { order.push_back(2); });
     order.push_back(3);
   });
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
-TEST(MonitorExecutor, DeepNestingDrains) {
-  MonitorExecutor ex;
+TEST(GroupExecutor, DeepNestingDrains) {
+  GroupExecutor ex;
   int count = 0;
   std::function<void(int)> recurse = [&](int depth) {
     ++count;
-    if (depth > 0) ex.post([&recurse, depth] { recurse(depth - 1); });
+    if (depth > 0) ex.post(kNoGroup, [&recurse, depth] { recurse(depth - 1); });
   };
-  ex.post([&] { recurse(100); });
+  ex.post(kNoGroup, [&] { recurse(100); });
   EXPECT_EQ(count, 101);
 }
 
-TEST(MonitorExecutor, FifoOrder) {
-  MonitorExecutor ex;
-  std::vector<int> order;
-  ex.post([&] {
-    for (int i = 0; i < 5; ++i) ex.post([&order, i] { order.push_back(i); });
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(MonitorExecutor, ThrowingTaskDoesNotWedgeTheQueue) {
-  // Regression: a throwing task used to leave running_ latched forever, so
-  // every later post queued behind a drain loop that no longer existed.
-  MonitorExecutor ex;
-  EXPECT_THROW(ex.post([] { throw std::runtime_error("boom"); }),
-               std::runtime_error);
-  int ran = 0;
-  ex.post([&] { ++ran; });
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(MonitorExecutor, TasksQueuedBehindThrowerSurvive) {
-  MonitorExecutor ex;
-  std::vector<int> order;
-  EXPECT_THROW(ex.post([&] {
-    ex.post([&] { order.push_back(1); });  // queued behind the thrower
-    throw std::runtime_error("boom");
-  }),
-               std::runtime_error);
-  EXPECT_TRUE(order.empty());  // drain aborted by the throw
-  ex.post([&] { order.push_back(2); });  // resumes: old task first, FIFO
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(GroupExecutor, RunToCompletionMatchesMonitorOrder) {
-  // The facade must be bit-identical to MonitorExecutor in dispatch order:
-  // deterministic sim tests depend on it.
+TEST(GroupExecutor, FifoOrder) {
+  // Long enough to grow the queue several times from a non-zero head.
   GroupExecutor ex;
+  for (int i = 0; i < 7; ++i) ex.post(kNoGroup, [] {});
   std::vector<int> order;
-  ex.post(7, [&] {
-    order.push_back(1);
-    ex.post(9, [&] { order.push_back(2); });
-    ex.post(7, [&] { order.push_back(3); });
-    order.push_back(4);
+  ex.post(kNoGroup, [&] {
+    for (int i = 0; i < 100; ++i) {
+      ex.post(static_cast<GroupKey>(i % 3), [&order, i] { order.push_back(i); });
+    }
   });
-  EXPECT_EQ(order, (std::vector<int>{1, 4, 2, 3}));
-  EXPECT_EQ(ex.executed(), 3u);
-  EXPECT_EQ(ex.pending(), 0u);
-}
-
-TEST(GroupExecutor, TracksPerGroupQueues) {
-  GroupExecutor ex;
-  std::size_t seen_g1 = 0;
-  std::size_t seen_g2 = 0;
-  ex.post(1, [&] {
-    ex.post(1, [] {});
-    ex.post(2, [] {});
-    ex.post(2, [] {});
-    seen_g1 = ex.pending(1);
-    seen_g2 = ex.pending(2);
-  });
-  EXPECT_EQ(seen_g1, 1u);
-  EXPECT_EQ(seen_g2, 2u);
-  EXPECT_EQ(ex.pending(), 0u);
+  std::vector<int> want(100);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(order, want);
 }
 
 TEST(GroupExecutor, ThrowingTaskDoesNotWedgeTheQueue) {
+  // Regression: a throwing task used to leave running_ latched forever, so
+  // every later post queued behind a drain loop that no longer existed.
   GroupExecutor ex;
   EXPECT_THROW(ex.post(5, [] { throw std::runtime_error("boom"); }),
                std::runtime_error);
@@ -126,77 +66,65 @@ TEST(GroupExecutor, ThrowingTaskDoesNotWedgeTheQueue) {
   EXPECT_EQ(ran, 1);
 }
 
-TEST(SequencedExecutor, ExecutesInTicketOrder) {
-  SequencedExecutor ex;
+TEST(GroupExecutor, TasksQueuedBehindThrowerSurvive) {
+  GroupExecutor ex;
   std::vector<int> order;
-  ex.post([&] {
-    ex.post([&] { order.push_back(2); });
-    ex.post([&] { order.push_back(3); });
-    order.push_back(1);
-  });
-  ex.drain();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(SequencedExecutor, ThreadSafePosting) {
-  SequencedExecutor ex;
-  std::atomic<int> count{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 250; ++i) {
-        ex.post([&] { count.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  ex.drain();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(SequencedExecutor, ThrowingTaskDoesNotWedgeTheQueue) {
-  // Regression: same latch bug as MonitorExecutor, but running_ lives
-  // behind a mutex and the task runs unlocked.
-  SequencedExecutor ex;
-  EXPECT_THROW(ex.post([] { throw std::runtime_error("boom"); }),
+  EXPECT_THROW(ex.post(kNoGroup, [&] {
+    ex.post(kNoGroup, [&] { order.push_back(1); });  // queued behind the thrower
+    throw std::runtime_error("boom");
+  }),
                std::runtime_error);
-  int ran = 0;
-  ex.post([&] { ++ran; });
-  ex.drain();
-  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(order.empty());  // drain aborted by the throw
+  EXPECT_EQ(ex.pending(), 1u);
+  ex.post(kNoGroup, [&] { order.push_back(2); });  // resumes: old task first
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(ThreadPoolExecutor, RunsAllTasks) {
-  ThreadPoolExecutor ex(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    ex.post([&] { count.fetch_add(1); });
-  }
-  ex.drain();
-  EXPECT_EQ(count.load(), 100);
+TEST(GroupExecutor, DispatchOrderIsGlobalPostOrder) {
+  // The schedule horus-check hashes: across groups, tasks run in the order
+  // they were posted, whatever their group, and a throw only pauses it.
+  GroupExecutor ex;
+  std::vector<std::pair<GroupKey, std::uint64_t>> trace;
+  ex.set_trace([&](GroupKey g, std::uint64_t seq) { trace.emplace_back(g, seq); });
+  std::vector<int> order;
+  EXPECT_THROW(ex.post(1, [&] {
+    order.push_back(10);
+    ex.post(2, [&] {
+      order.push_back(20);
+      ex.post(1, [&] { order.push_back(12); });
+    });
+    ex.post(3, [&] {
+      order.push_back(30);
+      throw std::runtime_error("boom");
+    });
+    ex.post(1, [&] { order.push_back(11); });
+    ex.post(2, [&] { order.push_back(21); });
+    order.push_back(19);
+  }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{10, 19, 20, 30}));
+  EXPECT_EQ(ex.pending(), 3u);
+  ex.post(3, [&] { order.push_back(31); });
+  EXPECT_EQ(order, (std::vector<int>{10, 19, 20, 30, 11, 21, 12, 31}));
+  EXPECT_EQ(trace, (std::vector<std::pair<GroupKey, std::uint64_t>>{
+                       {1, 1}, {2, 2}, {3, 3}, {1, 4}, {2, 5}, {1, 6}, {3, 7}}));
+  EXPECT_EQ(ex.executed(), 7u);
+  EXPECT_EQ(ex.pending(), 0u);
 }
 
-TEST(ThreadPoolExecutor, StackLockSerializesBodies) {
-  // The per-stack mutex means task bodies never overlap, even with many
-  // worker threads (threaded Horus semantics).
-  ThreadPoolExecutor ex(4);
-  int unguarded = 0;  // written without atomics: the stack lock protects it
-  for (int i = 0; i < 1000; ++i) {
-    ex.post([&] { ++unguarded; });
-  }
-  ex.drain();
-  EXPECT_EQ(unguarded, 1000);
-}
-
-TEST(ThreadPoolExecutor, DrainWaitsForActive) {
-  ThreadPoolExecutor ex(2);
-  std::atomic<bool> done{false};
-  ex.post([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done = true;
+TEST(GroupExecutor, BatchIsOneDispatch) {
+  // A batch runs back to back as one dispatch decision, so packing does
+  // not change the dispatch trace's length.
+  GroupExecutor ex;
+  std::vector<int> order;
+  ex.post(4, [&] {
+    std::vector<Task> batch;
+    for (int i = 0; i < 3; ++i) batch.push_back([&order, i] { order.push_back(i); });
+    ex.post_batch(6, std::move(batch));
+    ex.post(5, [&] { order.push_back(9); });
   });
-  ex.drain();
-  EXPECT_TRUE(done.load());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+  EXPECT_EQ(ex.executed(), 3u);
 }
 
 TEST(ShardedExecutor, RunsAllTasks) {
@@ -281,6 +209,19 @@ TEST(ShardedExecutor, ThrowingTaskIsCountedAndWorkerSurvives) {
   ex.post(1, [&] { ++ran; });  // same shard keeps working
   ex.drain();
   EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(ShardedExecutor, BatchRunsInOrderWithPerTaskIsolation) {
+  ShardedExecutor ex(2);
+  std::vector<int> order;  // one group: serialized on its shard
+  std::vector<Task> batch;
+  batch.push_back([&] { order.push_back(0); });
+  batch.push_back([] { throw std::runtime_error("boom"); });
+  batch.push_back([&] { order.push_back(2); });
+  ex.post_batch(3, std::move(batch));
+  ex.drain();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(ex.task_exceptions(), 1u);
 }
 
 TEST(ShardedExecutor, DestructorFinishesQueuedWork) {
