@@ -26,7 +26,7 @@ namespace {
 
 // The realistic field sets of the TOTAL:MBRSHIP:FRAG:NAK:COM stack.
 const std::vector<std::vector<FieldSpec>> kStackFields = {
-    {{"kind", 2}, {"gseq", 32}},                                // TOTAL
+    {{"kind", 3}, {"gseq", 32}},                                // TOTAL
     {{"kind", 4}, {"view_seq", 32}, {"vseq", 32}},              // MBRSHIP
     {{"last", 1}, {"bundled", 1}},                              // FRAG
     {{"kind", 3}, {"stream", 1}, {"epoch", 32}, {"seq", 32}},   // NAK

@@ -46,21 +46,26 @@ done
 
 # Extra corpus stacks, each swept over its own sequential seed range. An
 # optional `switch@MS=SPEC` token live-reconfigures the group to SPEC
-# mid-workload (MS=0 derives a seed-dependent switch time); switch entries
-# run without crashes/partitions so the cross-epoch oracle also enforces
-# full delivery -- loss and duplication stay at the scenario defaults.
+# mid-workload (MS=0 derives a seed-dependent switch time); a `clean`
+# token runs the stack as is. Both run without crashes/partitions, so the
+# delivery oracle (cross-epoch on a switch) enforces full delivery -- loss
+# and duplication stay at the scenario defaults.
 while IFS= read -r line; do
-  [[ "$line" =~ ^stack=([A-Z0-9_:!]+)[[:space:]]+seeds=([0-9]+)([[:space:]]+switch@([0-9]+)=([A-Z0-9_:]+))?$ ]] || continue
+  [[ "$line" =~ ^stack=([A-Z0-9_:!]+)[[:space:]]+seeds=([0-9]+)([[:space:]]+switch@([0-9]+)=([A-Z0-9_:]+)|[[:space:]]+(clean))?$ ]] || continue
   stack="${BASH_REMATCH[1]}"
   nseeds="${BASH_REMATCH[2]}"
   switch_ms="${BASH_REMATCH[4]}"
   switch_spec="${BASH_REMATCH[5]}"
+  clean="${BASH_REMATCH[6]}"
   extra=()
   label="$stack"
   if [[ -n "$switch_spec" ]]; then
     extra+=("--switch-spec=$switch_spec" "--switch-at-ms=$switch_ms"
             "--crashes=0" "--partitions=0")
     label="$stack -> $switch_spec"
+  elif [[ -n "$clean" ]]; then
+    extra+=("--crashes=0" "--partitions=0")
+    label="$stack clean"
   fi
   repro="$out_dir/repro-$(echo "$label" | tr ': >' '_').json"
   echo "== $label (seeds 1..$nseeds) =="

@@ -418,10 +418,10 @@ void check_cross_epoch(const RunLog& log, Report& rep) {
   //  2. per-sender deliveries stay strictly increasing in (round, index) --
   //     nothing is duplicated or reordered across the epoch boundary;
   //  3. live members settle on the same final epoch (the switch completed
-  //     everywhere or nowhere);
-  //  4. on clean runs (no crash/partition in the plan) nothing is lost:
-  //     loss/duplication/delay are recoverable faults, so every cast must
-  //     reach every live member even when the switch raced it.
+  //     everywhere or nowhere).
+  // evaluate() adds check_delivery under this oracle's name when the
+  // delivery oracle is off: on a clean run nothing may be lost even when
+  // the switch raced a cast.
   for (const auto& m : log.members) {
     std::uint32_t last_epoch = 0;
     for (const Obs& o : m.obs) {
@@ -471,7 +471,13 @@ void check_cross_epoch(const RunLog& log, Report& rep) {
                   "'s " + std::to_string(first_final));
     }
   }
+}
 
+void check_delivery(const RunLog& log, Report& rep, Oracle as) {
+  // On clean runs (no crash/partition in the plan) nothing is lost:
+  // loss/duplication/delay are recoverable faults, so every cast must
+  // reach every live member. This is the liveness check: a stack that
+  // starves a sender's casts violates no ordering rule, but fails here.
   if (!log.clean) return;
   for (const auto& m : log.members) {
     if (m.crashed) continue;
@@ -484,7 +490,7 @@ void check_cross_epoch(const RunLog& log, Report& rep) {
     for (std::size_t s = 0; s < log.sent.size(); ++s) {
       std::uint64_t have = got[s].size();
       if (have < log.sent[s]) {
-        rep.add(Oracle::kCrossEpoch, m.index,
+        rep.add(as, m.index,
                 "lost " + std::to_string(log.sent[s] - have) + " of " +
                     std::to_string(log.sent[s]) + " casts from m" +
                     std::to_string(s) + " on a clean run");
@@ -518,6 +524,11 @@ std::vector<Violation> evaluate(OracleSet set, const RunLog& log) {
   }
   if (set & static_cast<OracleSet>(Oracle::kCrossEpoch)) {
     check_cross_epoch(log, rep);
+  }
+  if (set & static_cast<OracleSet>(Oracle::kDelivery)) {
+    check_delivery(log, rep, Oracle::kDelivery);
+  } else if (set & static_cast<OracleSet>(Oracle::kCrossEpoch)) {
+    check_delivery(log, rep, Oracle::kCrossEpoch);
   }
   return rep.take();
 }

@@ -79,9 +79,9 @@ struct RunLog {
   std::vector<std::uint64_t> sent;
   int casts_per_round = 1;
   /// True when the plan injected no crashes and no partitions: the
-  /// cross-epoch oracle then also demands full delivery (loss, duplication
-  /// and reordering are recoverable faults; a reliable stack owes every
-  /// cast to every member once the run settles).
+  /// delivery oracle then demands full delivery (loss, duplication and
+  /// reordering are recoverable faults; a reliable stack owes every cast
+  /// to every member once the run settles).
   bool clean = false;
 };
 

@@ -70,7 +70,8 @@ OracleSet auto_oracles(props::PropertySet provided) {
   using props::Property;
   OracleSet s = 0;
   if (props::has(provided, Property::kFifoMulticast)) {
-    s |= static_cast<OracleSet>(Oracle::kNoDupNoCreation);
+    s |= static_cast<OracleSet>(Oracle::kNoDupNoCreation) |
+         static_cast<OracleSet>(Oracle::kDelivery);
   }
   if (props::has(provided, Property::kVirtualSync)) {
     s |= static_cast<OracleSet>(Oracle::kVirtualSynchrony);

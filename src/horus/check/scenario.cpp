@@ -16,6 +16,7 @@ std::string oracle_name(Oracle o) {
     case Oracle::kStability: return "stability";
     case Oracle::kViewAgreement: return "view-agreement";
     case Oracle::kCrossEpoch: return "cross-epoch";
+    case Oracle::kDelivery: return "delivery";
   }
   return "unknown";
 }
@@ -25,7 +26,7 @@ namespace {
 const Oracle kAll[] = {Oracle::kNoDupNoCreation, Oracle::kVirtualSynchrony,
                        Oracle::kTotalOrder,      Oracle::kCausal,
                        Oracle::kStability,       Oracle::kViewAgreement,
-                       Oracle::kCrossEpoch};
+                       Oracle::kCrossEpoch,      Oracle::kDelivery};
 
 }  // namespace
 

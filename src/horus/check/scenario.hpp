@@ -32,13 +32,15 @@ enum class Oracle : std::uint32_t {
   kViewAgreement = 1u << 5,    ///< live members converge on one final view
   kCrossEpoch = 1u << 6,       ///< live reconfiguration loses/dups/reorders
                                ///< nothing; members agree on the final epoch
+  kDelivery = 1u << 7,         ///< on clean runs every cast reaches every
+                               ///< live member
 };
 using OracleSet = std::uint32_t;
 
 /// Empty set means "select automatically from the stack's provided
 /// properties" (the runner resolves it once the stack is built).
 constexpr OracleSet kAutoOracles = 0;
-constexpr OracleSet kAllOracles = (1u << 7) - 1;
+constexpr OracleSet kAllOracles = (1u << 8) - 1;
 
 [[nodiscard]] std::string oracle_name(Oracle o);
 /// Parse "total-order,causal" (or "auto" / "all"); throws

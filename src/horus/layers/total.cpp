@@ -12,7 +12,7 @@ using props::Property;
 LayerInfo make_info() {
   LayerInfo li;
   li.name = "TOTAL";
-  li.fields = {{"kind", 2}, {"gseq", 32}};
+  li.fields = {{"kind", 3}, {"gseq", 32}};
   li.spec.name = li.name;
   li.spec.requires_below = props::make_set(
       {Property::kFifoUnicast, Property::kVirtualSemiSync,
@@ -40,7 +40,11 @@ void Total::down(Group& g, DownEvent& ev) {
     case DownType::kCast: {
       State& st = state<State>(g);
       st.pending.push_back(std::move(ev.msg));
-      if (st.have_token) drain_token(g, st);
+      if (st.have_token) {
+        drain_token(g, st);
+      } else {
+        request_token(g, st);
+      }
       return;
     }
     case DownType::kSend: {
@@ -55,10 +59,23 @@ void Total::down(Group& g, DownEvent& ev) {
   }
 }
 
+void Total::take_token(Group& g, State& st, std::uint64_t idle) {
+  st.have_token = true;
+  st.idle_in = idle;
+  st.stamped = false;
+  if (!st.pending.empty()) {
+    drain_token(g, st);
+  } else if (resting(g, st)) {
+    release_token(g, st);
+  } else {
+    schedule_idle_pass(g, st);
+  }
+}
+
 void Total::drain_token(Group& g, State& st) {
-  while (!st.pending.empty()) {
-    Message m = std::move(st.pending.front());
-    st.pending.erase(st.pending.begin());
+  // Index, not pop-front: a burst of k casts stamps in O(k), in order.
+  for (std::size_t i = 0; i < st.pending.size(); ++i) {
+    Message m = std::move(st.pending[i]);
     HLOG_TRACE("TOTAL") << stack().address().id << " stamp gseq="
                         << st.next_stamp;
     std::uint64_t fields[] = {kOrdered, st.next_stamp++};
@@ -67,29 +84,89 @@ void Total::drain_token(Group& g, State& st) {
     out.type = DownType::kCast;
     out.msg = std::move(m);
     pass_down(g, out);
+    st.stamped = true;
   }
-  if (g.view().size() > 1) pass_token(g, st);
+  st.pending.clear();
+  if (resting(g, st)) {
+    release_token(g, st);
+  } else {
+    pass_on(g, st);
+  }
 }
 
-void Total::pass_token(Group& g, State& st) {
+void Total::release_token(Group& g, State& st) {
+  // The token rests here: hand it to a requester, or keep it (parked).
+  while (!st.wanted.empty()) {
+    Address to = st.wanted.front().member;
+    if (g.view().contains(to)) {
+      ++st.requests_served;
+      pass_token(g, st, to);
+      return;
+    }
+    st.wanted.erase(st.wanted.begin());
+  }
+}
+
+void Total::pass_on(Group& g, State& st) {
   auto my_rank = g.view().rank_of(stack().address());
   if (!my_rank.has_value() || g.view().size() <= 1) return;
+  pass_token(g, st, g.view().member((*my_rank + 1) % g.view().size()));
+}
+
+void Total::pass_token(Group& g, State& st, Address to) {
   stack().cancel(st.idle_timer);
   st.idle_timer = 0;
   st.have_token = false;
   ++st.tokens_passed;
-  const Address& next = g.view().member((*my_rank + 1) % g.view().size());
+  std::uint64_t idle = st.stamped ? 0 : st.idle_in + 1;
+  st.must_request = !st.stamped;
+  std::erase_if(st.wanted, [&](const Want& x) { return x.member == to; });
   Writer w;
   w.varint(g.view().id().seq);
   w.varint(st.next_stamp);
+  w.varint(idle);
   Message m = Message::from_payload(w.take());
   std::uint64_t fields[] = {kToken, 0};
   stack().push_header(m, *this, fields);
   DownEvent out;
   out.type = DownType::kSend;
-  out.dests = {next};
+  out.dests = {to};
   out.msg = std::move(m);
   pass_down(g, out);
+}
+
+void Total::request_token(Group& g, State& st) {
+  // A member whose last pass followed a stamp needs no request: the token
+  // must come back to it before it can park anywhere.
+  if (!st.must_request || st.in_flush || g.view().size() <= 1) return;
+  st.must_request = false;  // one request per tenure
+  ++st.requests_sent;
+  Writer w;
+  w.varint(g.view().id().seq);
+  w.varint(st.next_stamp);
+  Message m = Message::from_payload(w.take());
+  std::uint64_t fields[] = {kRequest, 0};
+  stack().push_header(m, *this, fields);
+  DownEvent out;
+  out.type = DownType::kSend;
+  for (const Address& a : g.view().members()) {
+    if (a != stack().address()) out.dests.push_back(a);
+  }
+  out.msg = std::move(m);
+  pass_down(g, out);
+}
+
+void Total::on_request(Group& g, State& st, const Address& from, Reader& r) {
+  Want want{from, r.varint(), r.varint()};
+  std::uint64_t vseq = g.view().id().seq;
+  // A request for a view we have not installed yet is kept for it.
+  if (want.vseq < vseq || (want.vseq == vseq && st.in_flush)) return;
+  if (std::none_of(st.wanted.begin(), st.wanted.end(), [&](const Want& x) {
+        return x.member == from && x.vseq == want.vseq;
+      })) {
+    st.wanted.push_back(want);
+  }
+  if (st.have_token && resting(g, st)) release_token(g, st);
 }
 
 void Total::schedule_idle_pass(Group& g, State& st) {
@@ -102,7 +179,7 @@ void Total::schedule_idle_pass(Group& g, State& st) {
         if (!s2.pending.empty()) {
           drain_token(gg, s2);
         } else {
-          pass_token(gg, s2);
+          pass_on(gg, s2);
         }
       });
 }
@@ -122,6 +199,12 @@ void Total::up(Group& g, UpEvent& ev) {
       std::uint64_t gseq = h.fields[1];
       switch (kind) {
         case kOrdered: {
+          // The sender held the token after asking for it: its request is
+          // served.
+          std::erase_if(st.wanted, [&](const Want& x) {
+            return x.member == ev.source && gseq >= x.floor &&
+                   x.vseq == g.view().id().seq;
+          });
           bool fresh =
               st.ordered
                   .emplace(gseq,
@@ -145,6 +228,7 @@ void Total::up(Group& g, UpEvent& ev) {
             Reader r = ev.msg.reader();
             std::uint64_t vseq = r.varint();
             std::uint64_t stamp = r.varint();
+            std::uint64_t idle = r.varint();
             if (vseq < g.view().id().seq) return;  // stale token: let it die
             if (vseq == g.view().id().seq && st.in_flush) {
               // This view already flushed: its token is dead. Claiming it
@@ -159,19 +243,22 @@ void Total::up(Group& g, UpEvent& ev) {
               // holder installed before us): hold it, claim it at install.
               st.pending_token_view = vseq;
               st.pending_token_stamp = stamp;
+              st.pending_token_idle = idle;
               return;
             }
-            st.have_token = true;
             st.next_stamp = std::max(st.next_stamp, stamp);
-            if (!st.pending.empty()) {
-              drain_token(g, st);
-            } else {
-              schedule_idle_pass(g, st);
-            }
+            take_token(g, st, idle);
           } catch (const DecodeError&) {
           }
           return;
         }
+        case kRequest:
+          try {
+            Reader r = ev.msg.reader();
+            on_request(g, st, ev.source, r);
+          } catch (const DecodeError&) {
+          }
+          return;
         case kPass:
         default:
           pass_up(g, ev);
@@ -261,28 +348,31 @@ void Total::on_view(Group& g, State& st, UpEvent& ev) {
   }
   st.unordered.clear();
   // 3. Reset: "another deterministic rule decides who the first token
-  //    holder in this view is (e.g., the lowest ranked member)".
+  //    holder in this view is (e.g., the lowest ranked member)". It starts
+  //    a fresh idle round, which visits every member before the token can
+  //    park, so nobody needs to request it after an install.
   st.next_stamp = 1;
   st.next_deliver = 1;
   st.in_flush = false;
-  st.have_token = ev.view.rank_of(stack().address()) == 0u;
+  st.must_request = false;
+  std::erase_if(st.wanted,
+                [&](const Want& x) { return x.vseq != ev.view.id().seq; });
+  bool first = ev.view.rank_of(stack().address()) == 0u;
+  std::uint64_t idle = 0;
   if (st.pending_token_view == ev.view.id().seq) {
     // The new view's token already reached us before the install did.
-    st.have_token = true;
+    first = true;
     st.next_stamp = std::max(st.next_stamp, st.pending_token_stamp);
+    idle = st.pending_token_idle;
   }
+  st.have_token = false;
   st.pending_token_view = 0;
   st.pending_token_stamp = 0;
+  st.pending_token_idle = 0;
   stack().cancel(st.idle_timer);
   st.idle_timer = 0;
   pass_up(g, ev);
-  if (st.have_token) {
-    if (!st.pending.empty()) {
-      drain_token(g, st);
-    } else {
-      schedule_idle_pass(g, st);
-    }
-  }
+  if (first) take_token(g, st, idle);
 }
 
 void Total::export_state(Group& g, Writer& w) {
@@ -341,10 +431,14 @@ void Total::import_state(Group& g, Reader& r) {
 void Total::dump(Group& g, std::string& out) const {
   State& st = state<State>(const_cast<Group&>(g));
   out += "TOTAL: token=" + std::to_string(st.have_token) +
+         " parked=" + std::to_string(st.have_token && resting(g, st)) +
          " next_stamp=" + std::to_string(st.next_stamp) +
          " next_deliver=" + std::to_string(st.next_deliver) +
          " pending=" + std::to_string(st.pending.size()) +
-         " delivered=" + std::to_string(st.delivered) + "\n";
+         " delivered=" + std::to_string(st.delivered) +
+         " tokens_passed=" + std::to_string(st.tokens_passed) +
+         " requests_sent=" + std::to_string(st.requests_sent) +
+         " requests_served=" + std::to_string(st.requests_served) + "\n";
 }
 
 }  // namespace horus::layers

@@ -11,9 +11,17 @@
 //  rule decides who the first token holder in this view is (e.g., the
 //  lowest ranked member)."
 //
-// The oracle here is round-robin rotation: the holder stamps its pending
-// casts with consecutive global sequence numbers, then passes the token to
-// the next rank (after a short idle delay when it has nothing to send).
+// The oracle here is demand-driven. The holder stamps its pending casts
+// with consecutive global sequence numbers. The token carries an idle-hop
+// count: how many holders in a row passed it on without stamping. While
+// members keep stamping, the token rotates by rank (an idle holder passes
+// after a short idle delay). Once it has made a full idle round (it
+// arrives with n-1 idle hops) the holder parks it: it keeps the token and
+// stamps its own new casts at once, so a lone active sender pays only the
+// network. A member whose last tenure ended idle may be skipped by a
+// parking token, so when it next casts it sends one request to the other
+// members; they record it, and a parked (or about to park) holder hands
+// the token to a requester.
 // TOTAL requires virtual synchrony from below and -- as Section 7 notes --
 // needs no failure detector of its own: view changes from MBRSHIP carry all
 // the failure information it needs.
@@ -49,6 +57,7 @@ class Total final : public Layer {
   static constexpr std::uint64_t kUnordered = 1; ///< flush-window cast
   static constexpr std::uint64_t kToken = 2;     ///< token pass (subset send)
   static constexpr std::uint64_t kPass = 3;      ///< app subset send
+  static constexpr std::uint64_t kRequest = 4;   ///< token request (subset send)
 
   struct Buffered {
     Address source;
@@ -56,8 +65,28 @@ class Total final : public Layer {
     Message msg;
   };
 
+  /// A member that asked for the token in view `vseq`. Its kOrdered casts
+  /// stamped at or above `floor` (its next_stamp when it asked) show it got
+  /// the token.
+  struct Want {
+    Address member;
+    std::uint64_t vseq = 0;
+    std::uint64_t floor = 0;
+  };
+
   struct State final : LayerState {
     bool have_token = false;
+    /// Idle hops the held token arrived with; >= n-1 means every other
+    /// member held it since the last stamp, so the token rests here.
+    std::uint64_t idle_in = 0;
+    bool stamped = false;       ///< stamped a cast during this tenure
+    /// The last tenure ended with an idle pass and no request went out
+    /// since: the token may park without coming back, so a cast must ask.
+    bool must_request = false;
+    /// Requesters, oldest first. Entries for a view we have not installed
+    /// yet wait here for it; a holder never sees them (every member
+    /// flushes, dropping its token, before anyone installs the next view).
+    std::vector<Want> wanted;
     /// Set between the flush upcall and the next install: the old view's
     /// token is dead, and a late kToken for it must not revive stamping
     /// (a post-flush stamp would leak a stale gseq into the next view).
@@ -70,15 +99,27 @@ class Total final : public Layer {
     std::vector<std::pair<Address, Buffered>> unordered;
     sim::TimerId idle_timer = 0;
     std::uint64_t tokens_passed = 0;
+    std::uint64_t requests_sent = 0;
+    std::uint64_t requests_served = 0;  ///< passes to a requester
     std::uint64_t delivered = 0;
     /// A token that arrived for a view we have not installed yet (the
     /// sender installed it first); claimed when our install catches up.
     std::uint64_t pending_token_view = 0;
     std::uint64_t pending_token_stamp = 0;
+    std::uint64_t pending_token_idle = 0;
   };
 
+  static bool resting(const Group& g, const State& st) {
+    return st.idle_in + 1 >= g.view().size();
+  }
+
+  void take_token(Group& g, State& st, std::uint64_t idle);
   void drain_token(Group& g, State& st);
-  void pass_token(Group& g, State& st);
+  void release_token(Group& g, State& st);
+  void pass_on(Group& g, State& st);  ///< to the next rank
+  void pass_token(Group& g, State& st, Address to);
+  void request_token(Group& g, State& st);
+  void on_request(Group& g, State& st, const Address& from, Reader& r);
   void schedule_idle_pass(Group& g, State& st);
   void deliver_in_order(Group& g, State& st);
   void on_view(Group& g, State& st, UpEvent& ev);

@@ -245,6 +245,30 @@ TEST(CheckOracle, CrossEpochLossOnCleanRunCaught) {
   EXPECT_TRUE(evaluate(only(Oracle::kCrossEpoch), log).empty());
 }
 
+TEST(CheckOracle, DeliveryMissingCastCaught) {
+  // Both members sent two casts; member 0 never delivered m1's second one
+  // (a starved sender, say). Every delivery is in order and unique, so
+  // only the delivery oracle sees it.
+  RunLog log = two_members({cast(0, 0, 1), cast(1, 0, 1), cast(0, 1, 1)},
+                           {cast(0, 0, 1), cast(1, 0, 1), cast(0, 1, 1),
+                            cast(1, 1, 1)});
+  log.sent = {2, 2};
+  log.clean = true;
+  EXPECT_TRUE(evaluate(kAllOracles & ~only(Oracle::kDelivery) &
+                           ~only(Oracle::kCrossEpoch),
+                       log)
+                  .empty());
+  auto v = evaluate(only(Oracle::kDelivery), log);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].oracle, Oracle::kDelivery);
+  EXPECT_EQ(v[0].member, 0u);
+  EXPECT_NE(v[0].detail.find("lost 1 of 2 casts from m1"), std::string::npos)
+      << v[0].detail;
+  // A crash or partition in the plan makes the same log inconclusive.
+  log.clean = false;
+  EXPECT_TRUE(evaluate(only(Oracle::kDelivery), log).empty());
+}
+
 TEST(CheckOracle, LogHashCoversEpochs) {
   RunLog a = two_members({cast(0, 0, 1)}, {});
   RunLog b = two_members({cast(0, 0, 1)}, {});

@@ -46,6 +46,7 @@ TEST(CheckRunner, AutoOraclesFollowProvidedProperties) {
       {Property::kFifoMulticast, Property::kVirtualSync,
        Property::kTotalOrder}));
   EXPECT_EQ(s, static_cast<OracleSet>(Oracle::kNoDupNoCreation) |
+                   static_cast<OracleSet>(Oracle::kDelivery) |
                    static_cast<OracleSet>(Oracle::kVirtualSynchrony) |
                    static_cast<OracleSet>(Oracle::kTotalOrder));
   EXPECT_EQ(auto_oracles(0), kAutoOracles);

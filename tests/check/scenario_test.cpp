@@ -20,7 +20,7 @@ TEST(CheckScenario, OracleParsing) {
 }
 
 TEST(CheckScenario, EveryOracleNameParsesBack) {
-  for (std::uint32_t bit = 0; bit < 7; ++bit) {
+  for (std::uint32_t bit = 0; bit < 8; ++bit) {
     auto o = static_cast<Oracle>(1u << bit);
     EXPECT_EQ(parse_oracles(oracle_name(o)), static_cast<OracleSet>(o))
         << oracle_name(o);
