@@ -10,13 +10,11 @@
 //                 (runtime::GroupExecutor, the default);
 //   sequenced  -- the event-counter ordering scheme;
 //   threadpool -- real kernel threads + the per-stack lock (old Horus);
-//   sharded    -- the parallel per-group monitor (runtime::ShardedExecutor);
 // plus the end-to-end message cost of a full stack driven by the monitor
-// vs the sequenced executor. Only the monitor and sharded models run
-// outside this benchmark; the other three are defined here.
+// vs the sequenced executor. Only the monitor runs outside this benchmark;
+// the other three are defined here.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -98,7 +96,7 @@ class ThreadPoolExecutor final : public runtime::Executor {
   /// Condition waits release/reacquire the lock in a pattern the static
   /// analysis cannot follow, hence the opt-out; the dynamic sanitizers
   /// cover these paths instead.
-  void drain() override NO_THREAD_SAFETY_ANALYSIS;
+  void drain() NO_THREAD_SAFETY_ANALYSIS;
 
  private:
   void enqueue(GroupKey key, Task t) override;
@@ -211,20 +209,6 @@ void BM_ThreadPool(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPool);
 
-// Dispatch cost of the sharded runtime: posts round-robin over 8 groups,
-// drained by the shard worker threads.
-void BM_Sharded(benchmark::State& state) {
-  runtime::ShardedExecutor ex(static_cast<unsigned>(state.range(0)));
-  std::atomic<std::uint64_t> n{0};
-  GroupKey g = 0;
-  for (auto _ : state) {
-    ex.post(++g & 7, [&n] { n.fetch_add(1, std::memory_order_relaxed); });
-  }
-  ex.drain();
-  benchmark::DoNotOptimize(n.load());
-}
-BENCHMARK(BM_Sharded)->Arg(1)->Arg(2)->Arg(4);
-
 // A raw mutex acquisition for scale (what each layer call paid in the
 // lock-per-layer design).
 void BM_MutexLockUnlock(benchmark::State& state) {
@@ -285,57 +269,6 @@ void BM_StackSequenced(benchmark::State& state) {
 }
 BENCHMARK(BM_StackMonitor);
 BENCHMARK(BM_StackSequenced);
-
-// The ISSUE 2 acceptance bench: aggregate multi-group throughput of one
-// endpoint pair hosting 8 independent groups, as a function of shard
-// count. Arg(0) is the deterministic single-threaded GroupExecutor
-// baseline. On a >= 4-core machine, 4 shards should beat 1 shard by well
-// over the 1.8x bar; on fewer cores the sharded numbers mostly show the
-// cross-thread handoff cost.
-void BM_MultiGroupThroughput(benchmark::State& state) {
-  constexpr int kGroups = 8;
-  HorusSystem::Options opts = Rig::fast_net();
-  opts.shards = static_cast<unsigned>(state.range(0));
-  HorusSystem sys(opts);
-  auto& a = sys.create_endpoint("NAK:COM");
-  auto& b = sys.create_endpoint("NAK:COM");
-  std::atomic<std::uint64_t> delivered{0};
-  b.on_upcall([&](Group&, UpEvent& ev) {
-    if (ev.type == UpType::kCast) delivered.fetch_add(1);
-  });
-  std::vector<Address> members{a.address(), b.address()};
-  for (int g = 1; g <= kGroups; ++g) {
-    GroupId gid{static_cast<std::uint64_t>(g)};
-    a.join(gid);
-    b.join(gid);
-  }
-  sys.run_for(10 * sim::kMillisecond);
-  for (int g = 1; g <= kGroups; ++g) {
-    GroupId gid{static_cast<std::uint64_t>(g)};
-    a.install_view(gid, members);
-    b.install_view(gid, members);
-  }
-  sys.run_for(50 * sim::kMillisecond);
-  Bytes payload(100, 0x61);
-  std::uint64_t casts = 0;
-  for (auto _ : state) {
-    for (int g = 1; g <= kGroups; ++g) {
-      a.cast(GroupId{static_cast<std::uint64_t>(g)},
-             Message::from_payload(Bytes(payload)));
-      ++casts;
-    }
-    std::uint64_t want = casts;
-    for (int guard = 0; guard < 100'000 && delivered.load() < want; ++guard) {
-      sys.run_for(100);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(casts));
-  state.counters["groups"] = kGroups;
-  state.counters["cores"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_MultiGroupThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

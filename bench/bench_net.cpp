@@ -3,7 +3,7 @@
 // sendmmsg fan-out path in isolation.
 //
 //   * BM_NetCastThroughput: two NodeRuntime processes-in-one (two sockets,
-//     two reactors, two sharded executors), a formed 2-member view, bursts
+//     two node loops), a formed 2-member view, bursts
 //     of casts pushed until both sides deliver. Reports msgs/s end to end
 //     and datagrams/cast (wire cost of one multicast through
 //     MBRSHIP:FRAG:NAK:COM, NAK gossip included).
@@ -52,7 +52,7 @@ std::string book_text(const std::vector<std::uint16_t>& ports) {
 }
 
 /// Two real nodes over loopback with a settled 2-member view. Expensive to
-/// stand up (sockets + reactors + view formation), so one rig serves a
+/// stand up (sockets + node loops + view formation), so one rig serves a
 /// whole benchmark run.
 struct TwoNodeRig {
   net::AddressBook book;

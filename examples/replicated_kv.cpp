@@ -119,7 +119,7 @@ int run_node(std::uint64_t id, const std::string& book_path,
   node.run_for(std::chrono::milliseconds(run_ms - run_ms / 4));
   node.shutdown();
 
-  // Quiescent now (reactor stopped, executor drained): safe to read data.
+  // Quiescent now (node loop joined, inbox run): safe to read data.
   std::printf("DIGEST id=%llu %s\n", static_cast<unsigned long long>(id),
               self.digest().c_str());
   std::fflush(stdout);

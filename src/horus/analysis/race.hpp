@@ -1,7 +1,7 @@
 // horus-race: dynamic ownership / happens-before checking for the
 // group-execution model.
 //
-// The sharded runtime stays lock-free inside layers only because of the
+// The group-execution model stays lock-free inside layers only because of the
 // discipline documented in docs/runtime.md: a group's protocol state (the
 // Group object, its view, its epoch table, its per-layer state slots) is
 // touched exclusively by tasks serialized on that group's executor key.

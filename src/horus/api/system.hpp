@@ -20,7 +20,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,13 +44,6 @@ class HorusSystem {
     /// Properties of the simulated transport (P1: best effort).
     props::PropertySet network_properties =
         props::make_set({props::Property::kBestEffort});
-    /// 0: the deterministic single-threaded GroupExecutor (default; runs
-    /// are bit-for-bit reproducible). N > 0: every endpoint gets a
-    /// runtime::ShardedExecutor with N kernel threads, so independent
-    /// groups progress concurrently. Event *timing* then depends on thread
-    /// interleaving -- use for throughput benches, soak tests and the
-    /// concurrency stress tests, not for deterministic scenario tests.
-    unsigned shards = 0;
     /// Wrap every layer in an analysis::CheckedLayer and install a
     /// ContractMonitor on the stack, recording HCPI contract violations
     /// (header push/pop discipline, re-entrant down(), use-after-forward,
@@ -88,14 +80,10 @@ class HorusSystem {
   }
 
   Endpoint& create_endpoint(Address addr, const std::string& stack_spec) {
-    std::unique_ptr<runtime::Executor> exec;
-    if (opts_.shards > 0) {
-      exec = std::make_unique<runtime::ShardedExecutor>(opts_.shards);
-    }
     auto ep = std::make_unique<Endpoint>(addr, opts_.stack,
                                          build_layers(stack_spec),
                                          opts_.network_properties, transport_,
-                                         sched_, std::move(exec));
+                                         sched_);
     Endpoint& ref = *ep;
     // Live reconfiguration builds its stacks the same way, minus the lint:
     // Endpoint::reconfigure checks the property transition instead.
@@ -143,28 +131,9 @@ class HorusSystem {
 
   std::size_t run_for(sim::Duration d) { return run_until(sched_.now() + d); }
 
-  /// Single-threaded mode: run the event queue up to `t`. Sharded mode:
-  /// advance the clock in ~1ms virtual slices, draining every endpoint's
-  /// shard threads between slices, so work queued on shards executes at a
-  /// virtual time close to when it was posted and the sends/timers it
-  /// creates still land inside this run's horizon.
-  std::size_t run_until(sim::Time t) {
-    if (opts_.shards == 0) return sched_.run_until(t);
-    std::size_t n = 0;
-    for (;;) {
-      // Drain first: downcalls post straight onto shard queues without a
-      // scheduler event, and their sends create the first events.
-      for (auto& ep : endpoints_) ep->executor().drain();
-      std::optional<sim::Time> next = sched_.next_due();
-      if (sched_.now() >= t && (!next || *next > t)) break;
-      sim::Time step_to = t;  // idle queue: jump straight to the horizon
-      if (next) {
-        step_to = std::min(t, std::max(*next, sched_.now() + sim::kMillisecond));
-      }
-      n += sched_.run_until(step_to);
-    }
-    return n;
-  }
+  /// Run the event queue up to `t`; every endpoint's tasks run inline on
+  /// this thread.
+  std::size_t run_until(sim::Time t) { return sched_.run_until(t); }
 
   [[nodiscard]] sim::Time now() const { return sched_.now(); }
 
@@ -202,7 +171,6 @@ class HorusSystem {
     if (opts_.check_contracts) {
       auto monitor = std::make_shared<analysis::ContractMonitor>();
       layers = analysis::wrap_checked(std::move(layers), monitor);
-      std::lock_guard lock(monitors_mu_);
       monitors_.push_back(std::move(monitor));
     }
     return layers;
@@ -213,9 +181,6 @@ class HorusSystem {
   sim::SimNetwork net_;
   SimTransport transport_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  /// Guards monitors_: reconfigurations on sharded executors create
-  /// monitors concurrently with each other (and with the app thread).
-  std::mutex monitors_mu_;
   std::vector<std::shared_ptr<analysis::ContractMonitor>> monitors_;
   std::uint64_t next_addr_ = 1;
 };

@@ -113,7 +113,6 @@ RunResult run_scenario(const Scenario& scn, std::uint64_t seed,
   o.net.corrupt = s.corrupt;
   o.net.delay_min = s.delay_min;
   o.net.delay_max = s.delay_max;
-  o.shards = 0;  // the deterministic executor; see sim/scheduler.hpp
   // Contract checking must not vary between build flavors (CI compiles a
   // flavor with HORUS_CHECK_CONTRACTS), or event hashes would diverge.
   o.check_contracts = false;

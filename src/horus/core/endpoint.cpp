@@ -347,7 +347,6 @@ Stack* Endpoint::build_epoch_stack(const std::string& spec,
     return nullptr;
   }
   Stack* raw = ns.get();
-  util::MutexLock lock(epoch_stacks_mu_);
   epoch_stacks_.push_back(std::move(ns));
   return raw;
 }

@@ -28,11 +28,9 @@ class Endpoint {
   /// `layers` top to bottom; `network_properties` describes the transport
   /// (normally just P1). If `exec` is null a GroupExecutor is used (the
   /// paper's monitor model with the group object as the unit of mutual
-  /// exclusion; single-threaded and deterministic). Pass a
-  /// runtime::ShardedExecutor to run this endpoint's groups across N
-  /// kernel threads; the application's upcall handler must then be safe to
-  /// invoke concurrently for *different* groups (calls for one group are
-  /// still serialized).
+  /// exclusion; single-threaded and deterministic). A node loop passes its
+  /// own GroupExecutor so it can take posts from other threads
+  /// (net/runtime.hpp).
   Endpoint(Address addr, StackConfig cfg,
            std::vector<std::unique_ptr<Layer>> layers,
            props::PropertySet network_properties, Transport& transport,
@@ -207,14 +205,12 @@ class Endpoint {
   props::PropertySet net_props_ = 0;
   std::unique_ptr<Stack> stack_;
   std::vector<std::unique_ptr<Stack>> extra_stacks_;
-  // Stacks built by live reconfiguration. Guarded: switches for different
-  // groups may build concurrently on different executor shards.
-  util::Mutex epoch_stacks_mu_;
-  std::vector<std::unique_ptr<Stack>> epoch_stacks_
-      GUARDED_BY(epoch_stacks_mu_);
+  // Stacks built by live reconfiguration; only tasks touch it, and they
+  // all run on the executor's one thread.
+  std::vector<std::unique_ptr<Stack>> epoch_stacks_;
   LayerFactory layer_factory_;
-  // Written on the application thread (join/leave), read on every executor
-  // shard (each task re-finds its group). Lookups take the shared side so
+  // Written on the application thread (join), read by the executor's
+  // thread (each task re-finds its group). Lookups take the shared side so
   // the receive hot path never contends with other readers.
   mutable util::SharedMutex groups_mu_;
   std::unordered_map<GroupId, std::unique_ptr<Group>> groups_

@@ -60,7 +60,7 @@ class Group {
 
   /// The *current* epoch's stack. Loaded atomically: application threads
   /// read it to post downcall tasks while a reconfig task on the group's
-  /// shard may be swapping epochs. The task body re-resolves through the
+  /// executor thread may be swapping epochs. The task body re-resolves through the
   /// group, so a raced downcall still enters whichever epoch is current
   /// when it actually runs.
   [[nodiscard]] Stack& stack() const {
@@ -78,8 +78,8 @@ class Group {
     view_ = std::move(v);
   }
 
-  // destroyed_ and current_ are the only fields crossing threads under a
-  // sharded runtime: set on the application thread (destroy) or inside a
+  // destroyed_ and current_ are the only fields crossing threads in a node
+  // runtime: set on the application thread (destroy) or inside a
   // group task (epoch swap), read at task heads and downcall posting. All
   // other Group state (view, epoch table, layer state slots) is only ever
   // touched inside the group's own serialized tasks -- the group object is

@@ -24,7 +24,7 @@ class SimTransport final : public Transport {
   /// behaviorally aligned with the real UDP sendmmsg path (same fault
   /// decision indices as a per-destination loop; one buffer copy shared
   /// by all clean deliveries). thread_local scratch: one SimTransport is
-  /// shared by every shard thread, so a member vector would race.
+  /// shared by every endpoint, and no call pays for an allocation.
   void send_batch(Address src, std::span<const Address> dsts,
                   ByteSpan datagram) override {
     thread_local std::vector<sim::NodeId> ids;

@@ -155,8 +155,7 @@ std::size_t Stack::region_bytes() const {
 
 // All three entry points (downcalls, datagrams, timers) post with the
 // group's key: the group object -- not the stack -- is the unit of mutual
-// exclusion (Section 3), so a sharded executor can run independent groups
-// on different cores while everything for one group stays serialized.
+// exclusion (Section 3), and horus-race checks every task against it.
 
 void Stack::down(Group& g, DownEvent ev) {
   stats_.downcalls.fetch_add(1, std::memory_order_relaxed);

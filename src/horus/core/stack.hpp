@@ -128,9 +128,10 @@ class Transport {
   }
 };
 
-/// Counters for benches and tests. Atomics: under a ShardedExecutor every
-/// shard thread bumps them concurrently, and the hot path must not take a
-/// lock for a counter (relaxed increments only).
+/// Counters for benches and tests. Atomics: a node loop bumps them while
+/// other threads read them (and downcalls count on the caller's thread),
+/// and the hot path must not take a lock for a counter (relaxed
+/// increments only).
 struct StackStats {
   std::atomic<std::uint64_t> downcalls{0};
   std::atomic<std::uint64_t> upcalls_to_app{0};

@@ -425,8 +425,12 @@ void Mbrship::prune_stable(Group& g, State& st) {
 void Mbrship::handle_join_req(Group& g, State& st, Reader r) {
   Address joiner{r.u64()};
   std::uint64_t joiner_seq = r.remaining() > 0 ? r.varint() : 0;
+  // Only a member with a view of its own admits joiners. A group object
+  // whose own join has not run yet holds a placeholder singleton view;
+  // admitting from it would install a view its own bootstrap then
+  // overwrites, orphaning the joiner. The joiner retries every flush_retry.
+  if (st.phase != Phase::kNormal) return;
   st.view_seq_floor = std::max(st.view_seq_floor, joiner_seq);
-  if (st.phase != Phase::kNormal && st.phase != Phase::kJoining) return;
   if (g.view().contains(joiner)) {
     // It missed the install; resync it.
     if (!st.last_install.empty()) send_oob(g, kResync, joiner, st.last_install);
@@ -919,6 +923,7 @@ void Mbrship::handle_view_install(Group& g, State& st, const Address& src,
   st.my_vseq = 0;
   st.delivered.clear();
   for (const Address& m : nv.members()) st.delivered[m] = 0;
+  st.gossiped.clear();
   st.log.clear();
   st.reports.clear();
   st.flushing = false;
@@ -994,13 +999,15 @@ void Mbrship::handle_view_install(Group& g, State& st, const Address& src,
 }
 
 void Mbrship::bootstrap(Group& g, State& st) {
+  // Never replace a live view that already has other members in it.
+  if (st.phase == Phase::kNormal && g.view().size() > 1) return;
   View nv(ViewId{1, self()}, {self()});
-  bool completed_flush = st.flushing;
   g.set_view(nv);
   st.phase = Phase::kNormal;
   st.my_vseq = 0;
   st.delivered.clear();
   st.delivered[self()] = 0;
+  st.gossiped.clear();
   DownEvent dv;
   dv.type = DownType::kView;
   dv.view = nv;
@@ -1050,8 +1057,10 @@ void Mbrship::arm_gossip(Group& g, State& st) {
   st.gossip_timer = stack().schedule(
       g.gid(), stack().config().stability_gossip_interval, [this](Group& gg) {
         State& s2 = state<State>(gg);
-        if (s2.phase == Phase::kNormal && gg.view().size() > 1 && !s2.flushing) {
+        if (s2.phase == Phase::kNormal && gg.view().size() > 1 &&
+            !s2.flushing && s2.delivered != s2.gossiped) {
           send_gossip(gg, s2);
+          s2.gossiped = s2.delivered;
         }
         arm_gossip(gg, s2);
       });
@@ -1129,6 +1138,7 @@ void Mbrship::on_reconfig_install(Group& g, const ReconfigInstall& inst) {
   st.my_vseq = 0;
   st.delivered.clear();
   for (const Address& m : inst.view.members()) st.delivered[m] = 0;
+  st.gossiped.clear();
   st.blocked = inst.blocked;
   if (!st.blocked) st.last_primary = inst.view;
   // st.last_install was imported from the old epoch: it is the very bundle

@@ -81,6 +81,9 @@ class Mbrship final : public Layer {
     std::map<Address, std::map<std::uint64_t, CapturedMsg>> log;
     /// Gossiped delivery vectors, for stability pruning of the log.
     std::map<Address, std::map<Address, std::uint64_t>> reports;
+    /// `delivered` as last gossiped (gossip rides NAK, so it is reliable:
+    /// an unchanged vector has nothing new to say).
+    std::map<Address, std::uint64_t> gossiped;
 
     // Flush machinery.
     bool flushing = false;

@@ -25,8 +25,8 @@ namespace horus::layers {
 /// creating endpoints.
 ///
 /// Internally synchronized: one store is shared by *multiple* endpoints
-/// (that is its whole point), and under a ShardedExecutor their LOG layers
-/// append from different shard threads concurrently -- the store is the one
+/// (that is its whole point), and endpoints on different node loops append
+/// from different threads concurrently -- the store is the one
 /// observe-layer object the group-ownership discipline does not cover.
 /// journal() therefore returns a snapshot by value: a reference into the
 /// map could be invalidated by a concurrent append's vector growth.

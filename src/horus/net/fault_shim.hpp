@@ -30,7 +30,7 @@ struct FaultShimConfig {
   double drop = 0.0;       ///< probability a datagram never leaves
   double duplicate = 0.0;  ///< probability a datagram leaves twice
   /// Added latency window (virtual microseconds on the shim's scheduler;
-  /// under RealTimeDriver at factor 1 that is wall-clock microseconds).
+  /// in a NodeRuntime those are wall-clock microseconds).
   /// delay_max == 0 disables delays and no scheduler is needed.
   sim::Duration delay_min = 0;
   sim::Duration delay_max = 0;
@@ -53,7 +53,7 @@ struct FaultShimStats {
 class FaultShimTransport final : public Transport {
  public:
   /// `sched` is required when cfg.delay_max > 0 (delayed datagrams are
-  /// re-sent from scheduler events; NodeRuntime passes its RealTimeDriver
+  /// re-sent from scheduler events; NodeRuntime passes its node loop's
   /// scheduler); throws std::invalid_argument otherwise. The shim does not
   /// own `inner`, which must outlive it.
   FaultShimTransport(Transport& inner, FaultShimConfig cfg,
@@ -86,8 +86,8 @@ class FaultShimTransport final : public Transport {
   Transport* inner_;
   FaultShimConfig cfg_;
   sim::Scheduler* sched_;
-  // Executor shards race into the shim; the streams must hand out draws
-  // atomically per decision to keep "decision i = f(seed, i)".
+  // A Transport may be called from any thread; the streams must hand out
+  // draws atomically per decision to keep "decision i = f(seed, i)".
   mutable util::Mutex mu_;
   Rng drop_ GUARDED_BY(mu_);
   Rng dup_ GUARDED_BY(mu_);

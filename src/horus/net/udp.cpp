@@ -1,8 +1,6 @@
 #include "horus/net/udp.hpp"
 
 #include <poll.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -73,28 +71,9 @@ UdpTransport::UdpTransport(const AddressBook& book, Address self,
           ntohs(reinterpret_cast<const sockaddr_in6*>(&bound)->sin6_port);
     }
   }
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) sys_fail("udp: eventfd");
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) sys_fail("udp: epoll_create1");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &ev) < 0) {
-    sys_fail("udp: epoll_ctl(socket)");
-  }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-    sys_fail("udp: epoll_ctl(eventfd)");
-  }
 }
 
-UdpTransport::~UdpTransport() {
-  stop();
-  close_if(epoll_fd_);
-  close_if(wake_fd_);
-  close_if(fd_);
-}
+UdpTransport::~UdpTransport() { close_if(fd_); }
 
 void UdpTransport::bind(Endpoint& ep) {
   if (endpoint_ != nullptr) {
@@ -106,18 +85,6 @@ void UdpTransport::bind(Endpoint& ep) {
         " does not match transport's local id " + std::to_string(self_.id));
   }
   endpoint_ = &ep;
-  running_.store(true, std::memory_order_release);
-  reactor_ = std::thread([this] { reactor(); });
-}
-
-void UdpTransport::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (reactor_.joinable()) reactor_.join();
-    return;
-  }
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  if (reactor_.joinable()) reactor_.join();
 }
 
 bool UdpTransport::send_one(const PeerEntry& peer, ByteSpan datagram) {
@@ -142,7 +109,7 @@ bool UdpTransport::send_one(const PeerEntry& peer, ByteSpan datagram) {
     int r = ::poll(&pfd, 1, cfg_.full_sock_wait_ms);
     if (r <= 0) {
       // Buffer stayed full for the whole grace period: drop (P1 permits
-      // it, and blocking the executor shard would be worse).
+      // it, and blocking the node loop would be worse).
       stats_.tx_full_dropped.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -230,11 +197,12 @@ void UdpTransport::send_batch(Address /*src*/, std::span<const Address> dsts,
 }
 
 void UdpTransport::read_burst() {
+  stats_.rx_wakeups.fetch_add(1, std::memory_order_relaxed);
   const unsigned batch = cfg_.rx_batch;
-  // Persistent receive slots (reactor-thread-only): the kernel writes each
-  // datagram straight into the Bytes that will be delivered; only slots
-  // actually consumed are re-allocated.
-  thread_local std::vector<Bytes> bufs;
+  // Persistent receive slots: the kernel writes each datagram straight
+  // into the Bytes that will be delivered; only slots actually consumed
+  // are re-allocated.
+  std::vector<Bytes>& bufs = rx_bufs_;
   if (bufs.size() != batch) {
     bufs.assign(batch, Bytes());
   }
@@ -304,26 +272,6 @@ void UdpTransport::read_burst() {
       i = j;
     }
     if (static_cast<unsigned>(got) < batch) break;  // drained in one gulp
-  }
-}
-
-void UdpTransport::reactor() {
-  epoll_event events[8];
-  while (running_.load(std::memory_order_acquire)) {
-    int n = ::epoll_wait(epoll_fd_, events, 8, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // epoll itself failed: nothing sane left to do
-    }
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == wake_fd_) {
-        std::uint64_t tok = 0;
-        [[maybe_unused]] ssize_t r = ::read(wake_fd_, &tok, sizeof(tok));
-        continue;  // running_ is re-checked by the loop condition
-      }
-      stats_.rx_wakeups.fetch_add(1, std::memory_order_relaxed);
-      read_burst();
-    }
   }
 }
 

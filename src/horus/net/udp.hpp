@@ -7,35 +7,34 @@
 //
 // Architecture:
 //
-//   * Tx happens on whatever thread calls send()/send_batch() (executor
-//     shards, timers, the application). The socket is non-blocking and
-//     sendto/sendmmsg on one fd are kernel-serialized, so no user lock is
-//     needed; a full socket buffer is absorbed by a short poll(POLLOUT)
-//     retry loop (counted) before the datagram is dropped best-effort.
-//     Multi-destination fan-out (the COM broadcast path) goes through
-//     sendmmsg: one syscall per tx_batch destinations.
+//   * Tx happens on whatever thread calls send()/send_batch() -- in a node
+//     that is the node loop, which runs all protocol code. The socket is
+//     non-blocking and sendto/sendmmsg on one fd are kernel-serialized, so
+//     no user lock is needed; a full socket buffer is absorbed by a short
+//     poll(POLLOUT) retry loop (counted) before the datagram is dropped
+//     best-effort. Multi-destination fan-out (the COM broadcast path) goes
+//     through sendmmsg: one syscall per tx_batch destinations.
 //
-//   * Rx is a dedicated reactor thread: epoll over the socket and an
-//     eventfd (shutdown wake). Each wakeup drains the socket with
-//     recvmmsg into pre-sized Bytes buffers that become the zero-copy
-//     delivery buffers themselves -- the kernel writes straight into the
-//     allocation that deliver_datagrams() hands to the stack, so a
-//     datagram is copied exactly once (NIC -> buffer), matching
-//     SimNetwork's one-copy discipline. Source addresses resolve to Horus
-//     addresses through the AddressBook; unknown senders are counted and
-//     dropped before any stack code sees the bytes.
+//   * Rx has no thread of its own. The owner watches fd() for readability
+//     and calls read_burst(), which drains the socket with recvmmsg into
+//     pre-sized Bytes buffers that become the zero-copy delivery buffers
+//     themselves -- the kernel writes straight into the allocation that
+//     deliver_datagrams() hands to the stack, so a datagram is copied
+//     exactly once (NIC -> buffer), matching SimNetwork's one-copy
+//     discipline. Source addresses resolve to Horus addresses through the
+//     AddressBook; unknown senders are counted and dropped before any stack
+//     code sees the bytes.
 //
-// Threading contract: the reactor thread calls Endpoint::deliver_datagrams,
-// which posts tasks onto the endpoint's executor. The bound endpoint MUST
-// run a thread-safe executor (runtime::ShardedExecutor); the default
-// GroupExecutor drains on the calling thread and would run protocol code on
-// the reactor. NodeRuntime (net/runtime.hpp) wires this correctly.
+// Threading contract: read_burst() calls Endpoint::deliver_datagrams,
+// whose tasks run on the endpoint's executor, so it must be called on the
+// thread that runs the endpoint's protocol code. NodeRuntime
+// (net/runtime.hpp) calls it from its node loop.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <thread>
+#include <vector>
 
 #include "horus/core/endpoint.hpp"
 #include "horus/net/address_book.hpp"
@@ -60,7 +59,7 @@ struct UdpConfig {
 };
 
 /// Wire counters, mirroring sim::NetStats for the real transport. Atomics:
-/// tx arrives from every executor shard while the reactor counts rx.
+/// the node loop counts while other threads read.
 struct UdpStats {
   std::atomic<std::uint64_t> tx_datagrams{0};
   std::atomic<std::uint64_t> tx_bytes{0};
@@ -71,7 +70,7 @@ struct UdpStats {
   std::atomic<std::uint64_t> tx_full_dropped{0};    ///< buffer never drained, or hard send error
   std::atomic<std::uint64_t> rx_datagrams{0};
   std::atomic<std::uint64_t> rx_bytes{0};
-  std::atomic<std::uint64_t> rx_wakeups{0};         ///< epoll returns
+  std::atomic<std::uint64_t> rx_wakeups{0};         ///< read_burst calls
   std::atomic<std::uint64_t> rx_truncated{0};       ///< datagram > mtu (MSG_TRUNC)
   std::atomic<std::uint64_t> rx_unknown_peer{0};    ///< sender not in the book
 
@@ -103,18 +102,19 @@ class UdpTransport final : public Transport {
   void send_batch(Address src, std::span<const Address> dsts,
                   ByteSpan datagram) override;
 
-  // -- lifecycle --------------------------------------------------------------
+  // -- rx ---------------------------------------------------------------------
 
-  /// Attach the endpoint whose stacks receive this socket's datagrams and
-  /// start the reactor thread. One endpoint per transport (one socket ==
-  /// one Horus address); binding twice throws.
+  /// Attach the endpoint whose stacks receive this socket's datagrams. One
+  /// endpoint per transport (one socket == one Horus address); binding
+  /// twice throws.
   void bind(Endpoint& ep);
 
-  /// Stop the reactor and join it. Idempotent; the destructor calls it.
-  /// After stop() no more deliveries are posted, which is the first step
-  /// of an orderly node shutdown (then drain the executor, then destroy
-  /// the endpoint).
-  void stop();
+  /// The socket, for the owner's readiness wait.
+  [[nodiscard]] int fd() const { return fd_; }
+  /// Drain the socket with recvmmsg and deliver what arrived to the bound
+  /// endpoint. Call it on the endpoint's loop thread when fd() is
+  /// readable.
+  void read_burst();
 
   [[nodiscard]] Address self() const { return self_; }
   [[nodiscard]] const UdpConfig& config() const { return cfg_; }
@@ -124,23 +124,18 @@ class UdpTransport final : public Transport {
   [[nodiscard]] std::uint16_t local_port() const { return local_port_; }
 
  private:
-  void reactor();
   /// One routed, size-checked datagram onto the wire, with the EAGAIN
   /// retry loop. Returns false only on a hard (non-EAGAIN) send error.
   bool send_one(const PeerEntry& peer, ByteSpan datagram);
-  /// Drain the socket once with recvmmsg; deliver what arrived.
-  void read_burst();
 
-  AddressBook book_;  // copied: lookups happen on reactor + shard threads
+  AddressBook book_;  // copied: the transport outlives the caller's book
   Address self_;
   UdpConfig cfg_;
   int fd_ = -1;
-  int wake_fd_ = -1;   // eventfd: stop() pokes the reactor out of epoll
-  int epoll_fd_ = -1;
   std::uint16_t local_port_ = 0;
   Endpoint* endpoint_ = nullptr;
-  std::thread reactor_;
-  std::atomic<bool> running_{false};
+  /// Receive slots, reused across bursts (read_burst's thread only).
+  std::vector<Bytes> rx_bufs_;
   UdpStats stats_;
 };
 

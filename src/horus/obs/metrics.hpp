@@ -41,8 +41,8 @@
 
 namespace horus::obs {
 
-/// Monotonic event count. Relaxed increments: every shard thread may bump
-/// concurrently and the hot path must never lock for a counter.
+/// Monotonic event count. Relaxed increments: every node loop in a process
+/// may bump concurrently and the hot path must never lock for a counter.
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }

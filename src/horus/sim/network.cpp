@@ -99,7 +99,7 @@ void SimNetwork::send_multi(NodeId src, std::span<const NodeId> dsts,
                               std::memory_order_relaxed);
   // One lock for the whole burst: link params, partition state and the
   // fault decisions must stay coherent (and decisions must be made in a
-  // fixed order, for determinism) even when many shards send at once.
+  // fixed order, for determinism) even when several threads send at once.
   // Decisions are consumed per destination in `dsts` order, so this is
   // index-for-index identical to a send() loop.
   util::MutexLock lock(mu_);

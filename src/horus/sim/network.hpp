@@ -84,9 +84,9 @@ class RngFaultPolicy final : public FaultPolicy {
   Rng loss_, dup_, corrupt_, delay_;
 };
 
-/// Counters for observability and the benchmark harness. Atomics: sends
-/// arrive from every executor shard concurrently, and counting must not
-/// serialize them (ISSUE: atomics, not locks, on the hot path).
+/// Counters for observability and the benchmark harness. Atomics: other
+/// threads may read them while the driver counts, and counting must not
+/// lock (atomics, not locks, on the hot path).
 struct NetStats {
   std::atomic<std::uint64_t> sent{0};
   std::atomic<std::uint64_t> delivered{0};
@@ -185,8 +185,8 @@ class SimNetwork {
 
   Scheduler& sched_;
   // mu_ guards the fault policy, link parameters and partition state:
-  // send() runs on executor shard threads while the driver thread
-  // reconfigures the world. handlers_ is confined to the driver thread
+  // send() may run on another thread than the one that reconfigures the
+  // world. handlers_ is confined to the driver thread
   // (attach/crash and deliveries all happen there), so handler invocation
   // never holds the lock -- which is also why handlers_ carries no
   // GUARDED_BY: its discipline is thread confinement, not a capability.

@@ -15,18 +15,17 @@
 // schedule() calls in the same order therefore fire events in exactly the
 // same order -- which is what makes recorded executions (horus-check's
 // trace record/replay) bit-identical, independent of hash-map iteration
-// order or timer-id values. The sequence is assigned at post time, so the
-// guarantee holds across any shard count *provided posting order is
-// deterministic*: with the default single-threaded GroupExecutor it always
-// is; with a ShardedExecutor, posting order (and hence equal-deadline
-// order) depends on kernel-thread interleaving, which is why horus-check
-// scenarios always run with shards = 0.
+// order or timer-id values. The simulator runs every task on its one
+// driver thread, so its posting order is always deterministic.
 //
-// Thread safety: schedule/cancel/now/next_due may be called from any thread
-// (layer code runs on ShardedExecutor workers while the driver thread runs
-// the queue). The run methods themselves must stay on one driver thread;
-// event closures execute outside the internal lock, so they may freely
-// re-enter schedule/cancel. The lock adds no ordering of its own, so
+// Thread safety: schedule/cancel/now/next_due may be called from any thread.
+// Protocol code runs on the thread that runs the queue (the simulator's
+// driver, or a node loop), but Endpoint::join still builds a group's layer
+// state -- which arms NAK's timers -- on the caller's thread while a node
+// loop may be running the queue. That is the lock's one remaining reason.
+// The run methods themselves must stay on one driver thread; event
+// closures execute outside the internal lock, so they may freely re-enter
+// schedule/cancel. The lock adds no ordering of its own, so
 // single-threaded runs are bit-identical to the unlocked implementation.
 #pragma once
 
@@ -84,8 +83,7 @@ class Scheduler {
   bool step();
 
   /// Timestamp of the earliest pending (non-cancelled) event, if any. Lets
-  /// real-time drivers sleep precisely until work is due instead of
-  /// busy-polling.
+  /// a node loop arm its timer precisely instead of busy-polling.
   [[nodiscard]] std::optional<Time> next_due() const;
 
   [[nodiscard]] bool empty() const {

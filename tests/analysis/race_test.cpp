@@ -11,13 +11,15 @@
 //   3. retained stack pointer: layer state of the pre-switch epoch is
 //      read through a stale Stack* after a live reconfiguration installed
 //      the new epoch (outside the sanctioned shadow-drain paths);
-//   4. unsynchronized counter: two groups on different shards bump one
-//      plain (non-atomic) counter with no happens-before edge.
+//   4. unsynchronized counter: two threads, each draining its own
+//      executor, bump one plain (non-atomic) counter with no
+//      happens-before edge.
 //
-// Plus the other half of the contract: a full sharded multi-group world
-// with live reconfigurations mid-traffic must produce ZERO violations --
-// every legal cross-group handoff (message transfer, shadow drain, state
-// transfer, drain barriers) is recognized, not flagged.
+// Plus the other half of the contract: a multi-group world with live
+// reconfigurations mid-traffic must produce ZERO violations -- every legal
+// cross-group handoff (message transfer, shadow drain, state transfer) is
+// recognized, not flagged. The multi-threaded case (a node loop fed by
+// casts from the application thread) is in tests/net/node_loop_test.cpp.
 //
 // The whole suite skips itself in builds without -DHORUS_CHECK_RACES
 // (probes compile to nothing there; Debug defaults the flag on).
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../common/test_util.hpp"
@@ -65,7 +68,7 @@ class RaceTest : public ::testing::Test {
 /// Two membership-less groups on one endpoint pair; returns after views
 /// are installed and a warmup cast has flowed.
 struct TwoGroupWorld {
-  explicit TwoGroupWorld(unsigned shards) : sys(make_opts(shards)) {
+  TwoGroupWorld() : sys(make_opts()) {
     a = &sys.create_endpoint("NAK:COM");
     b = &sys.create_endpoint("NAK:COM");
     std::vector<Address> members{a->address(), b->address()};
@@ -81,9 +84,8 @@ struct TwoGroupWorld {
     sys.run_for(20 * sim::kMillisecond);
   }
 
-  static HorusSystem::Options make_opts(unsigned shards) {
+  static HorusSystem::Options make_opts() {
     HorusSystem::Options o;
-    o.shards = shards;
     o.net.loss = 0.0;
     return o;
   }
@@ -96,7 +98,7 @@ struct TwoGroupWorld {
 // -- 1. cross-group state write ---------------------------------------------
 
 TEST_F(RaceTest, CatchesCrossGroupStateAccess) {
-  TwoGroupWorld w(0);
+  TwoGroupWorld w;
   // The misbehaving component: while handling group A's upcall (so the
   // executing task is framed as group A), reach into group B's view --
   // exactly the "it is all in one process, why not just look" bug the
@@ -125,7 +127,7 @@ TEST_F(RaceTest, CatchesCrossGroupStateAccess) {
 // -- 2. timer armed for the wrong group -------------------------------------
 
 TEST_F(RaceTest, CatchesWrongGroupTimer) {
-  TwoGroupWorld w(0);
+  TwoGroupWorld w;
   // The misbehaving component: a task running as group A arms a stack
   // timer bound to group B. The violation is flagged at ARMING time (the
   // bug is where the timer was posted from, not where it fires), so the
@@ -152,9 +154,7 @@ TEST_F(RaceTest, CatchesWrongGroupTimer) {
 // -- 3. retained stack pointer across a reconfiguration ---------------------
 
 TEST_F(RaceTest, CatchesStaleEpochStateAccess) {
-  HorusSystem::Options opts;
-  opts.shards = 0;
-  HorusSystem sys(opts);
+  HorusSystem sys;
   auto& a = sys.create_endpoint("TOTAL:MBRSHIP:FRAG:NAK:COM");
   GroupId gid{7};
   a.join(gid);
@@ -183,28 +183,29 @@ TEST_F(RaceTest, CatchesStaleEpochStateAccess) {
   EXPECT_EQ(reps[0].owner_gid, gid.id);
 }
 
-// -- 4. plain counter shared across shards ----------------------------------
+// -- 4. plain counter shared across threads ---------------------------------
 
 TEST_F(RaceTest, CatchesUnsynchronizedCounterWrite) {
-  runtime::ShardedExecutor ex(4);
-  // Two group keys pinned to DIFFERENT shards, so their tasks run on
-  // different worker threads with no ordering between them.
-  runtime::GroupKey ga = 1;
-  runtime::GroupKey gb = 2;
-  while (ex.shard_of(gb) == ex.shard_of(ga)) ++gb;
+  // Two executors, each drained by its own plain thread: tasks of group 1
+  // and group 2 run with no ordering between them.
+  runtime::GroupExecutor ex_a;
+  runtime::GroupExecutor ex_b;
+  constexpr runtime::GroupKey kGa = 1;
+  constexpr runtime::GroupKey kGb = 2;
 
   // The misbehaving component: a plain int bumped from both groups. The
   // probe is what a stats counter would wear if someone "simplified" a
-  // relaxed atomic into a plain ++ (the audit this PR ran on
-  // msg_path_stats/NetStats found none -- this seeds one).
+  // relaxed atomic into a plain ++ (the audit of msg_path_stats/NetStats
+  // found none -- this seeds one).
   int plain_counter = 0;
   auto bump = [&plain_counter] {
     HORUS_RACE_PROBE_PLAIN_WRITE(&plain_counter, "seeded plain counter");
     ++plain_counter;
   };
-  ex.post(ga, bump);
-  ex.post(gb, bump);
-  ex.drain();
+  std::thread ta([&] { ex_a.post(kGa, bump); });
+  std::thread tb([&] { ex_b.post(kGb, bump); });
+  ta.join();
+  tb.join();
 
   race::CounterSnapshot c = race::counters();
   // Whichever task runs second observes the first's unordered write; if
@@ -217,26 +218,22 @@ TEST_F(RaceTest, CatchesUnsynchronizedCounterWrite) {
   ASSERT_FALSE(race::reports().empty());
   EXPECT_EQ(race::reports()[0].kind, race::Kind::kUnsyncedWrite);
 
-  // Control: the same shape with a real happens-before edge (drain() is a
-  // barrier) is legal.
+  // Control: the same shape with a real happens-before edge is legal.
   race::reset();
-  ex.post(ga, bump);
-  ex.drain();
-  ex.post(gb, bump);
-  ex.drain();
+  std::thread([&] { ex_a.post(kGa, bump); }).join();
+  race::acquire_all();  // the join, made visible to the detector
+  ex_b.post(kGb, bump);  // posted, and run, after that edge
   EXPECT_EQ(race::counters().unsynced_write, 0u);
 }
 
 // -- zero violations on a correct world -------------------------------------
 
-/// The reconfig_shard stress in miniature plus multi-group cast traffic:
-/// everything horus-race must NOT flag -- sharded delivery, coordinated
-/// switches, shadow drains, state transfer, driver-thread polling.
-TEST_F(RaceTest, CorrectShardedWorldWithReconfigIsSilent) {
+/// Multi-group cast traffic plus live reconfigurations: everything
+/// horus-race must NOT flag -- coordinated switches, shadow drains, state
+/// transfer, driver-thread polling.
+TEST_F(RaceTest, CorrectWorldWithReconfigIsSilent) {
   constexpr std::size_t kGroups = 4;
-  HorusSystem::Options opts;
-  opts.shards = 4;
-  HorusSystem sys(opts);
+  HorusSystem sys;
   auto& a = sys.create_endpoint("TOTAL:MBRSHIP:FRAG:NAK:COM");
   auto& b = sys.create_endpoint("TOTAL:MBRSHIP:FRAG:NAK:COM");
 
@@ -284,11 +281,11 @@ TEST_F(RaceTest, CorrectShardedWorldWithReconfigIsSilent) {
   EXPECT_EQ(race::total_violations(), 0u) << race::summary();
 }
 
-/// Same world, deterministic single-thread executor: the probes must be
-/// equally silent when every task runs inline on the driver thread
-/// (nested group frames, not thread identity, carry the ownership).
+/// Two groups interleaving casts: the probes must be silent when every
+/// task runs inline on the driver thread (nested group frames, not thread
+/// identity, carry the ownership).
 TEST_F(RaceTest, CorrectDeterministicWorldIsSilent) {
-  TwoGroupWorld w(0);
+  TwoGroupWorld w;
   for (int i = 0; i < 20; ++i) {
     w.a->cast(i % 2 ? kA : kB, Message::from_string("m" + std::to_string(i)));
   }

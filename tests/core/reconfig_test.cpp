@@ -371,5 +371,71 @@ TEST(Reconfig, IntermediateShadowRetires) {
   expect_casts(w, w.eps[0]->address(), {"healthy"});
 }
 
+// Several groups on one endpoint pair switch back to back, switches
+// started from both ends, with casts landing mid-switch: every group
+// reaches the new epoch at both members and loses, duplicates and
+// reorders nothing.
+TEST(Reconfig, SeveralGroupsSwitchBackToBack) {
+  constexpr std::size_t kGroups = 6;
+  HorusSystem sys;
+  auto& a = sys.create_endpoint(kNakSpec);
+  auto& b = sys.create_endpoint(kNakSpec);
+
+  // One payload log per (endpoint, group).
+  std::vector<std::vector<std::string>> a_log(kGroups);
+  std::vector<std::vector<std::string>> b_log(kGroups);
+  auto attach = [](Endpoint& ep, std::vector<std::vector<std::string>>& log) {
+    ep.on_upcall([&log](Group& g, UpEvent& ev) {
+      if (ev.type != UpType::kCast) return;
+      log[g.gid().id - 1].push_back(ev.msg.payload_string());
+    });
+  };
+  attach(a, a_log);
+  attach(b, b_log);
+
+  for (std::size_t i = 0; i < kGroups; ++i) {
+    GroupId gid{static_cast<std::uint64_t>(i + 1)};
+    a.join(gid);
+    sys.run_for(50 * sim::kMillisecond);
+    b.join(gid, a.address());
+    sys.run_for(50 * sim::kMillisecond);
+  }
+  sys.run_for(2 * sim::kSecond);
+
+  for (std::size_t i = 0; i < kGroups; ++i) {
+    GroupId gid{static_cast<std::uint64_t>(i + 1)};
+    a.cast(gid, Message::from_string("pre-" + std::to_string(i)));
+  }
+  sys.run_for(sim::kSecond);
+
+  // Fire every group's switch back to back; the coordinated flushes
+  // overlap. Casts land mid-switch.
+  for (std::size_t i = 0; i < kGroups; ++i) {
+    GroupId gid{static_cast<std::uint64_t>(i + 1)};
+    (i % 2 == 0 ? a : b).reconfigure(gid, kMcastSpec);
+    b.cast(gid, Message::from_string("mid-" + std::to_string(i)));
+  }
+  sys.run_for(4 * sim::kSecond);
+
+  for (std::size_t i = 0; i < kGroups; ++i) {
+    GroupId gid{static_cast<std::uint64_t>(i + 1)};
+    a.cast(gid, Message::from_string("post-" + std::to_string(i)));
+  }
+  sys.run_for(2 * sim::kSecond);
+
+  for (std::size_t i = 0; i < kGroups; ++i) {
+    GroupId gid{static_cast<std::uint64_t>(i + 1)};
+    EXPECT_EQ(a.group(gid).epoch_number(), 1u) << "group " << i;
+    EXPECT_EQ(b.group(gid).epoch_number(), 1u) << "group " << i;
+    EXPECT_EQ(a.group(gid).stack().spec_string(), kMcastSpec) << "group " << i;
+    EXPECT_EQ(b.group(gid).stack().spec_string(), kMcastSpec) << "group " << i;
+    std::vector<std::string> want = {"pre-" + std::to_string(i),
+                                     "mid-" + std::to_string(i),
+                                     "post-" + std::to_string(i)};
+    EXPECT_EQ(a_log[i], want) << "group " << i << " at a";
+    EXPECT_EQ(b_log[i], want) << "group " << i << " at b";
+  }
+}
+
 }  // namespace
 }  // namespace horus::testing

@@ -1,6 +1,8 @@
 // MBRSHIP layer unit behaviours beyond the Figure 2 scenario: joins,
 // view agreement, self-inclusion, coordinator identity, external failure
 // detection, gossip-driven log pruning, deferred casts.
+#include <deque>
+
 #include "../common/test_util.hpp"
 
 namespace horus::testing {
@@ -214,6 +216,100 @@ TEST(Mbrship, RejoinAfterExclusion) {
   const View& v = w.logs[0].views.back();
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v.member(2), w.eps[2]->address()) << "rejoiner is youngest";
+}
+
+/// An executor the test steers: the first task posted to it is held back
+/// until release(); every other task runs at once, in post order, as on a
+/// GroupExecutor.
+class HoldFirstExecutor final : public runtime::Executor {
+ public:
+  void release() { run(std::move(held_)); }
+
+ private:
+  void enqueue(runtime::GroupKey /*key*/, runtime::Task t) override {
+    if (!held_any_) {
+      held_any_ = true;
+      held_ = std::move(t);
+      return;
+    }
+    run(std::move(t));
+  }
+  void run(runtime::Task t) {
+    queue_.push_back(std::move(t));
+    if (running_) return;
+    running_ = true;
+    while (!queue_.empty()) {
+      runtime::Task next = std::move(queue_.front());
+      queue_.pop_front();
+      next();
+    }
+    running_ = false;
+  }
+
+  bool held_any_ = false;
+  runtime::Task held_;
+  bool running_ = false;
+  std::deque<runtime::Task> queue_;
+};
+
+TEST(Mbrship, JoinReqBeforeOwnJoinDoesNotOrphanTheJoiner) {
+  // Regression: a group object whose own join has not run yet sits in
+  // kJoining with a placeholder singleton view. It used to admit a
+  // joiner's JOINREQ from there, install [self, joiner], and then let its
+  // own bootstrap overwrite that view -- the joiner ended up alone. On a
+  // real node this happens when a peer's datagram lands between
+  // Endpoint::join's group creation and its queued kJoin.
+  const HorusSystem::Options opts = quiet();
+  const std::string spec = "MBRSHIP:FRAG:NAK:COM";
+  sim::Scheduler sched;
+  sim::SimNetwork net(sched, opts.seed);
+  net.set_default_params(opts.net);
+  SimTransport transport(net);
+  auto hold = std::make_unique<HoldFirstExecutor>();
+  HoldFirstExecutor& contact_exec = *hold;
+  Endpoint contact(Address{1}, opts.stack, layers::make_stack(spec),
+                   opts.network_properties, transport, sched, std::move(hold));
+  Endpoint joiner(Address{2}, opts.stack, layers::make_stack(spec),
+                  opts.network_properties, transport, sched);
+  transport.bind(contact);
+  transport.bind(joiner);
+  AppLog contact_log;
+  AppLog joiner_log;
+  contact_log.attach(contact);
+  joiner_log.attach(joiner);
+
+  contact.join(kGroup);                    // its kJoin is held back...
+  joiner.join(kGroup, contact.address());  // ...so the JOINREQ runs first
+  sched.run_for(50 * sim::kMillisecond);
+  contact_exec.release();
+  sched.run_for(3 * sim::kSecond);
+
+  ASSERT_FALSE(contact_log.views.empty());
+  ASSERT_FALSE(joiner_log.views.empty());
+  EXPECT_EQ(contact_log.views.back().size(), 2u)
+      << contact_log.views.back().to_string();
+  EXPECT_EQ(joiner_log.views.back(), contact_log.views.back())
+      << joiner_log.views.back().to_string();
+}
+
+TEST(Mbrship, IdleGroupStopsGossiping) {
+  // Gossip rides NAK, so it is reliable: a delivery vector that has not
+  // changed since it was last gossiped says nothing new. Once one round
+  // has been gossiped, an idle group's only traffic is NAK's status
+  // rounds: 3 members x 2 peers x (1 s / 20 ms) = 300 datagrams/s.
+  World w(3, "MBRSHIP:FRAG:NAK:COM", quiet());
+  w.form_group();
+  ASSERT_TRUE(w.converged());
+  w.eps[0]->cast(kGroup, Message::from_string("one round"));
+  w.sys.run_for(sim::kSecond);
+  auto sent = [&w] {
+    std::uint64_t n = 0;
+    for (Endpoint* ep : w.eps) n += ep->stack().stats().datagrams_sent.load();
+    return n;
+  };
+  const std::uint64_t before = sent();
+  w.sys.run_for(2 * sim::kSecond);
+  EXPECT_EQ(sent() - before, 600u);
 }
 
 }  // namespace

@@ -216,5 +216,52 @@ TEST(Nak, ManySendersInterleaved) {
   }
 }
 
+// Two groups on one endpoint pair, casts interleaved across them: NAK
+// delivers each group's stream in FIFO order, whatever the interleaving.
+TEST(Nak, TwoGroupsOnOneEndpointPairKeepPerGroupFifo) {
+  constexpr GroupId kG1{101};
+  constexpr GroupId kG2{102};
+  HorusSystem::Options opts;
+  opts.net.loss = 0.0;
+  HorusSystem sys(opts);
+  auto& a = sys.create_endpoint("NAK:COM");
+  auto& b = sys.create_endpoint("NAK:COM");
+
+  std::vector<std::string> g1_log;
+  std::vector<std::string> g2_log;
+  b.on_upcall([&](Group& g, UpEvent& ev) {
+    if (ev.type != UpType::kCast) return;
+    (g.gid() == kG1 ? g1_log : g2_log).push_back(ev.msg.payload_string());
+  });
+
+  std::vector<Address> members{a.address(), b.address()};
+  for (GroupId gid : {kG1, kG2}) {
+    a.join(gid);
+    b.join(gid);
+  }
+  sys.run_for(5 * sim::kMillisecond);
+  for (GroupId gid : {kG1, kG2}) {
+    a.install_view(gid, members);
+    b.install_view(gid, members);
+  }
+  sys.run_for(20 * sim::kMillisecond);
+
+  // Interleave casts to both groups.
+  constexpr int kMessages = 120;
+  for (int i = 0; i < kMessages; ++i) {
+    a.cast(kG1, Message::from_string("g1-" + std::to_string(i)));
+    a.cast(kG2, Message::from_string("g2-" + std::to_string(i)));
+    if (i % 10 == 9) sys.run_for(5 * sim::kMillisecond);
+  }
+  sys.run_for(2 * sim::kSecond);
+
+  ASSERT_EQ(g1_log.size(), static_cast<std::size_t>(kMessages));
+  ASSERT_EQ(g2_log.size(), static_cast<std::size_t>(kMessages));
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(g1_log[i], "g1-" + std::to_string(i));
+    EXPECT_EQ(g2_log[i], "g2-" + std::to_string(i));
+  }
+}
+
 }  // namespace
 }  // namespace horus::testing

@@ -110,9 +110,9 @@ TEST(LogLayer, JournalReplayRebuildsStateAfterTotalCrash) {
 }
 
 TEST(LogStore, ConcurrentAppendAndSnapshotIsRaceFree) {
-  // One LogStore is shared by multiple endpoints -- under a
-  // ShardedExecutor their LOG layers append from different threads while
-  // a recovering process (or a dump) reads. This hammers exactly that
+  // One LogStore is shared by multiple endpoints -- on separate node loops
+  // their LOG layers append from different threads while a recovering
+  // process (or a dump) reads. This hammers exactly that
   // access pattern directly; run under TSan it is the regression test for
   // the store's internal locking (journal() snapshots by value so readers
   // never hold references into a growing vector).
@@ -158,15 +158,14 @@ TEST(LogStore, ConcurrentAppendAndSnapshotIsRaceFree) {
   }
 }
 
-TEST(LogStore, ShardedEndpointsShareOneStoreSafely) {
-  // The in-system version of the hammer above: three endpoints on sharded
-  // executors journal into one store while the test thread takes
-  // snapshots mid-flight. COM includes the sender in its own multicasts,
-  // so every member journals every cast.
+TEST(LogStore, EndpointsShareOneStore) {
+  // The in-system version of the hammer above: three endpoints journal
+  // into one store while the test takes snapshots mid-flight. COM
+  // includes the sender in its own multicasts, so every member journals
+  // every cast.
   auto store = std::make_shared<layers::LogStore>();
   HorusSystem::Options o = quiet();
   o.stack.log_store_erased = store;
-  o.shards = 2;
   World w(3, "LOG:MBRSHIP:FRAG:NAK:COM", o);
   w.form_group();
   ASSERT_TRUE(w.converged());
@@ -177,7 +176,6 @@ TEST(LogStore, ShardedEndpointsShareOneStoreSafely) {
                                  "r" + std::to_string(r) + "e" +
                                  std::to_string(i)));
     }
-    // Reads race with shard-thread appends: the TSan target.
     (void)store->total_entries();
     (void)store->journal(w.eps[0]->address(), kGroup);
     w.sys.run_for(200 * sim::kMillisecond);

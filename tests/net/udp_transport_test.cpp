@@ -5,67 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "horus/net/runtime.hpp"
+#include "loopback.hpp"
 
 namespace horus::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// An ephemeral loopback UDP socket the test owns (a controllable fake
-/// peer: we can send raw datagrams from its port).
-struct RawSock {
-  int fd = -1;
-  std::uint16_t port = 0;
-
-  RawSock() {
-    fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    ::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
-    socklen_t len = sizeof(sa);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
-    port = ntohs(sa.sin_port);
-  }
-  ~RawSock() {
-    if (fd >= 0) ::close(fd);
-  }
-  RawSock(const RawSock&) = delete;
-  RawSock& operator=(const RawSock&) = delete;
-
-  void send_to(std::uint16_t dst_port, const Bytes& data) const {
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(dst_port);
-    inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    ::sendto(fd, data.data(), data.size(), 0,
-             reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
-  }
-};
-
-std::string loopback_entry(std::uint64_t id, std::uint16_t port) {
-  return std::to_string(id) + " 127.0.0.1:" + std::to_string(port) + "\n";
-}
-
-/// Spin until `pred` holds or ~2s pass (the reactor is asynchronous).
-bool eventually(const std::function<bool()>& pred) {
-  for (int i = 0; i < 200; ++i) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(10ms);
-  }
-  return pred();
-}
 
 TEST(UdpTransport, RejectsBookWithoutSelf) {
   AddressBook book = AddressBook::parse("2 127.0.0.1:7002\n");
@@ -73,14 +24,7 @@ TEST(UdpTransport, RejectsBookWithoutSelf) {
 }
 
 TEST(UdpTransport, TxOversizeAndUnroutableBumpTheirCounters) {
-  // Probe a free port, release it, then let the transport bind it
-  // (loopback-only, so the reuse race is negligible).
-  std::uint16_t freed;
-  {
-    RawSock probe;
-    freed = probe.port;
-  }
-  AddressBook book = AddressBook::parse(loopback_entry(1, freed));
+  AddressBook book = AddressBook::parse(loopback_entry(1, free_port()));
   UdpTransport udp(book, Address{1});
 
   Bytes oversize(udp.config().mtu + 1, 0xab);
@@ -104,18 +48,13 @@ class UdpRxEdgeCases : public ::testing::Test {
  protected:
   void SetUp() override {
     known_peer_ = std::make_unique<RawSock>();
-    std::uint16_t self_port;
-    {
-      RawSock probe;
-      self_port = probe.port;
-    }
-    book_ = AddressBook::parse(loopback_entry(1, self_port) +
+    book_ = AddressBook::parse(loopback_entry(1, free_port()) +
                                loopback_entry(2, known_peer_->port));
     NodeConfig cfg;
     cfg.spec = "MBRSHIP:FRAG:NAK:COM";
     node_ = std::make_unique<NodeRuntime>(book_, Address{1}, cfg);
     node_->endpoint().join(GroupId{7});
-    node_->run_for(100ms);  // singleton view forms; reactor live
+    node_->run_for(100ms);  // singleton view forms; node loop live
   }
 
   AddressBook book_;
@@ -152,14 +91,9 @@ TEST_F(UdpRxEdgeCases, KnownPeerGarbageIsReceivedThenDroppedByDemux) {
 }
 
 TEST(UdpTransport, TwoNodesCastOverRealSockets_BatchedTx) {
-  std::uint16_t p1, p2;
-  {
-    RawSock a, b;
-    p1 = a.port;
-    p2 = b.port;
-  }
-  AddressBook book =
-      AddressBook::parse(loopback_entry(1, p1) + loopback_entry(2, p2));
+  const std::vector<std::uint16_t> ports = free_ports(2);
+  AddressBook book = AddressBook::parse(loopback_entry(1, ports[0]) +
+                                       loopback_entry(2, ports[1]));
   NodeConfig cfg;
   NodeRuntime n1(book, Address{1}, cfg);
   NodeRuntime n2(book, Address{2}, cfg);

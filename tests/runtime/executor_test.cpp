@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -127,113 +128,46 @@ TEST(GroupExecutor, BatchIsOneDispatch) {
   EXPECT_EQ(ex.executed(), 3u);
 }
 
-TEST(ShardedExecutor, RunsAllTasks) {
-  ShardedExecutor ex(4);
-  std::atomic<int> count{0};
-  for (GroupKey g = 0; g < 16; ++g) {
-    for (int i = 0; i < 50; ++i) {
-      ex.post(g, [&] { count.fetch_add(1); });
-    }
-  }
-  ex.drain();
-  EXPECT_EQ(count.load(), 800);
-}
+// The inbox: how a node loop takes posts from other threads. Each "loop"
+// below is a fresh thread, so no test thread is ever marked as one.
+TEST(GroupExecutor, InboxHandsOtherThreadsPostsToTheLoopInOrder) {
+  GroupExecutor ex;
+  std::atomic<int> wakes{0};
+  ex.set_wake([&wakes] { wakes.fetch_add(1); });
+  std::thread([&ex] { ex.run_inbox(); }).join();  // nothing queued yet
 
-TEST(ShardedExecutor, PerGroupTasksNeverOverlap) {
-  // The monitor invariant, per group: tasks for one group are serialized
-  // (same shard FIFO), so a plain int per group needs no protection.
-  ShardedExecutor ex(4);
-  constexpr int kGroups = 8;
-  int unguarded[kGroups] = {};
-  for (int round = 0; round < 200; ++round) {
-    for (int g = 0; g < kGroups; ++g) {
-      ex.post(static_cast<GroupKey>(g), [&unguarded, g] { ++unguarded[g]; });
-    }
-  }
-  ex.drain();
-  for (int g = 0; g < kGroups; ++g) EXPECT_EQ(unguarded[g], 200) << g;
-}
-
-TEST(ShardedExecutor, PerGroupFifoOrder) {
-  ShardedExecutor ex(3);
-  constexpr int kGroups = 5;
-  std::vector<int> order[kGroups];
-  for (int i = 0; i < 100; ++i) {
-    for (int g = 0; g < kGroups; ++g) {
-      ex.post(static_cast<GroupKey>(g),
-              [&order, g, i] { order[g].push_back(i); });
-    }
-  }
-  ex.drain();
-  for (int g = 0; g < kGroups; ++g) {
-    ASSERT_EQ(order[g].size(), 100u);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(order[g][i], i);
-  }
-}
-
-TEST(ShardedExecutor, TasksPostedByTasksCompleteBeforeDrainReturns) {
-  ShardedExecutor ex(2);
-  std::atomic<int> count{0};
-  for (GroupKey g = 0; g < 4; ++g) {
-    ex.post(g, [&ex, &count, g] {
-      count.fetch_add(1);
-      ex.post(g + 100, [&count] { count.fetch_add(1); });
+  std::vector<int> order;
+  std::thread::id ran_on;
+  for (int i = 0; i < 3; ++i) {
+    ex.post(kNoGroup, [&order, &ran_on, i] {
+      order.push_back(i);
+      ran_on = std::this_thread::get_id();
     });
   }
-  ex.drain();
-  EXPECT_EQ(count.load(), 8);
+  EXPECT_TRUE(order.empty());  // queued, not run on the poster
+  EXPECT_EQ(wakes.load(), 1);  // one wake-up for the burst
+  std::thread::id loop_id;
+  std::thread loop([&] {
+    loop_id = std::this_thread::get_id();
+    ex.run_inbox();
+  });
+  loop.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(ran_on, loop_id);
+  ex.set_wake(nullptr);
 }
 
-TEST(ShardedExecutor, GroupsSpreadAcrossShards) {
-  // Sequential group ids must not all hash onto one shard, or sharding
-  // buys nothing for the common case.
-  ShardedExecutor ex(4);
-  std::set<unsigned> used;
-  for (GroupKey g = 1; g <= 64; ++g) used.insert(ex.shard_of(g));
-  EXPECT_EQ(used.size(), 4u);
-}
-
-TEST(ShardedExecutor, ShardAssignmentIsStable) {
-  ShardedExecutor ex(4);
-  for (GroupKey g = 0; g < 32; ++g) {
-    EXPECT_EQ(ex.shard_of(g), ex.shard_of(g));
-  }
-}
-
-TEST(ShardedExecutor, ThrowingTaskIsCountedAndWorkerSurvives) {
-  ShardedExecutor ex(2);
-  std::atomic<int> ran{0};
-  ex.post(1, [] { throw std::runtime_error("boom"); });
-  ex.drain();
-  EXPECT_EQ(ex.task_exceptions(), 1u);
-  ex.post(1, [&] { ++ran; });  // same shard keeps working
-  ex.drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ShardedExecutor, BatchRunsInOrderWithPerTaskIsolation) {
-  ShardedExecutor ex(2);
-  std::vector<int> order;  // one group: serialized on its shard
-  std::vector<Task> batch;
-  batch.push_back([&] { order.push_back(0); });
-  batch.push_back([] { throw std::runtime_error("boom"); });
-  batch.push_back([&] { order.push_back(2); });
-  ex.post_batch(3, std::move(batch));
-  ex.drain();
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-  EXPECT_EQ(ex.task_exceptions(), 1u);
-}
-
-TEST(ShardedExecutor, DestructorFinishesQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    ShardedExecutor ex(2);
-    for (int i = 0; i < 100; ++i) {
-      ex.post(static_cast<GroupKey>(i), [&] { count.fetch_add(1); });
-    }
-    // no drain: the destructor must complete, not drop, the queue
-  }
-  EXPECT_EQ(count.load(), 100);
+TEST(GroupExecutor, DetachingRunsTheInboxOnTheCaller) {
+  GroupExecutor ex;
+  ex.set_wake([] {});
+  std::vector<int> order;
+  ex.post(kNoGroup, [&order] { order.push_back(1); });
+  ex.post(kNoGroup, [&order] { order.push_back(2); });
+  EXPECT_TRUE(order.empty());
+  ex.set_wake(nullptr);  // the loop is gone: its leftovers run here
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  ex.post(kNoGroup, [&order] { order.push_back(3); });  // inline again
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

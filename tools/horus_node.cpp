@@ -58,7 +58,6 @@ struct Args {
   long delay_max_us = 0;
   std::uint64_t seed = 0x5eed;
   long mtu = 1400;
-  long shards = 1;
   bool quiet = false;
   std::string metrics_dump;   // Prometheus exposition file ("" = off)
   long metrics_every_ms = 0;  // 0: write once at shutdown only
@@ -71,7 +70,7 @@ struct Args {
                "  [--contact=N] [--run-ms=N] [--casts=N] [--cast-start-ms=N]\n"
                "  [--cast-gap-ms=N] [--payload=N] [--leave-at-ms=N]\n"
                "  [--drop=P] [--dup=P] [--delay-min-us=N] [--delay-max-us=N]\n"
-               "  [--seed=N] [--mtu=N] [--shards=N] [--quiet]\n"
+               "  [--seed=N] [--mtu=N] [--quiet]\n"
                "  [--metrics-dump=FILE] [--metrics-every-ms=N]\n"
                "SIGUSR1 dumps the flight recorder to stderr.\n",
                what);
@@ -106,7 +105,6 @@ Args parse_args(int argc, char** argv) {
     else if (key == "--delay-max-us") a.delay_max_us = num();
     else if (key == "--seed") a.seed = u64();
     else if (key == "--mtu") a.mtu = num();
-    else if (key == "--shards") a.shards = num();
     else if (key == "--quiet") a.quiet = true;
     else if (key == "--metrics-dump") a.metrics_dump = val;
     else if (key == "--metrics-every-ms") a.metrics_every_ms = num();
@@ -118,7 +116,7 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// What this node observed, written to from shard threads via upcalls.
+/// What this node observed, written to from the node loop via upcalls.
 struct Observed {
   std::mutex mu;
   std::uint64_t views = 0;
@@ -138,7 +136,6 @@ int main(int argc, char** argv) {
   net::NodeConfig cfg;
   cfg.spec = a.spec;
   cfg.udp.mtu = static_cast<std::size_t>(a.mtu);
-  cfg.shards = static_cast<unsigned>(a.shards > 0 ? a.shards : 1);
   if (a.drop > 0 || a.dup > 0 || a.delay_max_us > 0) {
     cfg.enable_fault_shim = true;
     cfg.faults.drop = a.drop;
@@ -208,6 +205,8 @@ int main(int argc, char** argv) {
                                                             start)
                                  .count());
   };
+  // The node loop runs the stack by itself; this thread only paces the
+  // scripted workload, the leave and the dumps.
   while (elapsed_ms() < a.run_ms) {
     node.run_for(std::chrono::milliseconds(10));
     long now = elapsed_ms();
@@ -245,8 +244,8 @@ int main(int argc, char** argv) {
   write_metrics();
   node.shutdown();
 
-  // Post-shutdown: the reactor is stopped and the executor drained, so
-  // obs is quiescent (the lock is for the analyzer's benefit).
+  // Post-shutdown: the node loop is joined and its inbox run, so obs is
+  // quiescent (the lock is for the analyzer's benefit).
   std::lock_guard lock(obs.mu);
   std::string from;
   for (const auto& [sender, per] : obs.from) {
