@@ -104,6 +104,7 @@ class ContractMonitor final : public HcpiMonitor {
   [[nodiscard]] std::string layer_name(std::size_t index) const;
 
   Counters counters_;
+  // One monitor may watch the stacks of several nodes in one process.
   mutable std::mutex mu_;
   std::vector<std::string> messages_;
   std::vector<std::string> names_;       // index -> name

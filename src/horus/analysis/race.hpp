@@ -131,7 +131,7 @@ inline constexpr std::size_t kMaxReports = 32;
 
 /// Wrap an executor task so it runs inside a group frame for `key` on
 /// executor `exec`, carrying the poster's clock snapshot and pending
-/// origin. Executors call this from post()/post_batch() under the flag.
+/// origin. Executors call this from post() under the flag.
 [[nodiscard]] std::function<void()> wrap_task(const void* exec,
                                               std::uint64_t key,
                                               std::function<void()> t);

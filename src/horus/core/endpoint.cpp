@@ -23,7 +23,6 @@ Endpoint::Endpoint(Address addr, StackConfig cfg,
 Endpoint::~Endpoint() = default;
 
 Group* Endpoint::find_group(GroupId gid) {
-  util::ReaderLock lock(groups_mu_);
   auto it = groups_.find(gid);
   return it != groups_.end() ? it->second.get() : nullptr;
 }
@@ -32,6 +31,12 @@ Group& Endpoint::group(GroupId gid) {
   Group* g = find_group(gid);
   if (g == nullptr) throw std::out_of_range("not a member of " + to_string(gid));
   return *g;
+}
+
+Group* Endpoint::live_group(GroupId gid) {
+  if (crashed_) return nullptr;
+  Group* g = find_group(gid);
+  return g != nullptr && !g->destroyed() ? g : nullptr;
 }
 
 Group& Endpoint::ensure_group(GroupId gid, Stack& on) {
@@ -49,12 +54,7 @@ Group& Endpoint::ensure_group(GroupId gid, Stack& on) {
   // the join-time stack delivered, until the application relaxes it.
   g->set_required(on.provided_properties());
   on.init_group(*g);
-  Group& ref = *g;
-  {
-    util::WriterLock lock(groups_mu_);
-    groups_.emplace(gid, std::move(g));
-  }
-  return ref;
+  return *groups_.emplace(gid, std::move(g)).first->second;
 }
 
 Stack& Endpoint::add_stack(std::vector<std::unique_ptr<Layer>> layers,
@@ -65,69 +65,50 @@ Stack& Endpoint::add_stack(std::vector<std::unique_ptr<Layer>> layers,
   return *extra_stacks_.back();
 }
 
-Group& Endpoint::join_on(Stack& stack, GroupId gid, Address contact) {
-  Group& g = ensure_group(gid, stack);
-  DownEvent ev;
-  ev.type = DownType::kJoin;
-  ev.contact = contact;
-  stack.down(g, std::move(ev));
-  return g;
+// Every application call below posts one task keyed by the group id, the
+// unit of mutual exclusion (Section 3); the task resolves the group when it
+// runs, so a downcall always enters the epoch that is current by then.
+template <class F>
+void Endpoint::post_to(GroupId gid, F act, Stack* create_on) {
+  HORUS_RACE_ORIGIN_SCOPE(race_origin, kDowncall);
+  exec_->post(gid.id, [this, gid, create_on, act = std::move(act)]() mutable {
+    if (create_on != nullptr) ensure_group(gid, *create_on);
+    if (Group* g = live_group(gid)) act(*g);
+  });
+}
+
+void Endpoint::downcall(GroupId gid, DownEvent ev) {
+  post_to(gid, [ev = std::move(ev)](Group& g) mutable {
+    g.stack().app_down(g, ev);
+  });
+}
+
+void Endpoint::join_on(Stack& stack, GroupId gid, Address contact) {
+  post_to(
+      gid,
+      [contact](Group& g) {
+        DownEvent ev;
+        ev.type = DownType::kJoin;
+        ev.contact = contact;
+        g.stack().app_down(g, ev);
+      },
+      &stack);
+}
+
+void Endpoint::join(GroupId gid, Address contact) {
+  join_on(*stack_, gid, contact);
 }
 
 void Endpoint::deliver_datagram(Address src,
                                 std::shared_ptr<const Bytes> datagram) {
-  if (crashed_ || datagram->size() < Stack::kGidPrefix) return;
+  if (datagram->size() < Stack::kGidPrefix) return;
   std::uint64_t gid = 0;
   for (std::size_t i = 0; i < Stack::kGidPrefix; ++i) {
     gid |= static_cast<std::uint64_t>((*datagram)[i]) << (8 * i);
   }
-  Group* g = find_group(GroupId{gid});
-  if (g == nullptr || g->destroyed()) return;  // not a member: drop
+  Group* g = live_group(GroupId{gid});
+  if (g == nullptr) return;  // not a member: drop
   g->stack().deliver_datagram(src, GroupId{gid}, std::move(datagram));
-}
-
-void Endpoint::deliver_datagrams(
-    Address src, std::vector<std::shared_ptr<const Bytes>> datagrams) {
-  if (crashed_) return;
-  // Batch consecutive datagrams for the same group so each run costs one
-  // executor enqueue; order across the burst is preserved (runs are posted
-  // in arrival order, and tasks for one group run FIFO).
-  Group* run_group = nullptr;
-  GroupId run_gid{};
-  std::vector<std::shared_ptr<const Bytes>> run;
-  auto flush_run = [&] {
-    if (run_group != nullptr && !run.empty()) {
-      run_group->stack().deliver_datagram_batch(src, run_gid, std::move(run));
-    }
-    run.clear();
-    run_group = nullptr;
-  };
-  for (auto& d : datagrams) {
-    if (d == nullptr || d->size() < Stack::kGidPrefix) continue;
-    std::uint64_t gid = 0;
-    for (std::size_t i = 0; i < Stack::kGidPrefix; ++i) {
-      gid |= static_cast<std::uint64_t>((*d)[i]) << (8 * i);
-    }
-    if (run_group == nullptr || run_gid.id != gid) {
-      flush_run();
-      Group* g = find_group(GroupId{gid});
-      if (g == nullptr || g->destroyed()) continue;  // not a member: drop
-      run_group = g;
-      run_gid = GroupId{gid};
-    }
-    run.push_back(std::move(d));
-  }
-  flush_run();
-}
-
-void Endpoint::downcall(GroupId gid, DownEvent ev) {
-  Group* g = find_group(gid);
-  if (g == nullptr || g->destroyed() || crashed_) return;
-  g->stack().down(*g, std::move(ev));
-}
-
-Group& Endpoint::join(GroupId gid, Address contact) {
-  return join_on(*stack_, gid, contact);
 }
 
 void Endpoint::cast(GroupId gid, Message msg) {
@@ -139,8 +120,6 @@ void Endpoint::cast(GroupId gid, Message msg) {
 
 void Endpoint::cast_batch(GroupId gid, std::vector<Message> msgs) {
   if (msgs.empty()) return;
-  Group* g = find_group(gid);
-  if (g == nullptr || g->destroyed() || crashed_) return;
   std::vector<DownEvent> evs;
   evs.reserve(msgs.size());
   for (Message& m : msgs) {
@@ -149,7 +128,9 @@ void Endpoint::cast_batch(GroupId gid, std::vector<Message> msgs) {
     ev.msg = std::move(m);
     evs.push_back(std::move(ev));
   }
-  g->stack().down_batch(*g, std::move(evs));
+  post_to(gid, [evs = std::move(evs)](Group& g) mutable {
+    g.stack().app_down_batch(g, evs);
+  });
 }
 
 void Endpoint::send(GroupId gid, std::vector<Address> dests, Message msg) {
@@ -208,15 +189,19 @@ void Endpoint::leave(GroupId gid) {
 }
 
 void Endpoint::install_view(GroupId gid, std::vector<Address> members) {
-  Group& g = ensure_group(gid, *stack_);
-  View v(ViewId{g.view().id().seq + 1, addr_}, std::move(members));
-  g.set_view(v);
-  DownEvent ev;
-  ev.type = DownType::kView;
-  ev.view = std::move(v);
-  // Down the stack the group actually lives on: with cactus stacks the
-  // group may belong to a branch, not the trunk.
-  g.stack().down(g, std::move(ev));
+  post_to(
+      gid,
+      [this, members = std::move(members)](Group& g) mutable {
+        View v(ViewId{g.view().id().seq + 1, addr_}, std::move(members));
+        g.set_view(v);
+        DownEvent ev;
+        ev.type = DownType::kView;
+        ev.view = std::move(v);
+        // Down the stack the group actually lives on: with cactus stacks
+        // the group may belong to a branch, not the trunk.
+        g.stack().app_down(g, ev);
+      },
+      stack_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -313,15 +298,12 @@ void Endpoint::reconfigure(GroupId gid, const std::string& new_spec) {
   // Membership-less stack: switch locally, as a group-serialized task.
   HORUS_RACE_ORIGIN_SCOPE(race_origin, kReconfig);
   exec_->post(gid.id, [this, gid, new_spec]() {
-    if (crashed()) return;
-    Group* grp = find_group(gid);
-    if (grp == nullptr || grp->destroyed()) return;
-    local_switch(*grp, new_spec);
+    if (Group* grp = live_group(gid)) local_switch(*grp, new_spec);
   });
 }
 
 void Endpoint::set_required(GroupId gid, props::PropertySet required) {
-  group(gid).set_required(required);
+  post_to(gid, [required](Group& g) { g.set_required(required); });
 }
 
 bool Endpoint::validate_reconfig(Group& g, const std::string& spec) {
@@ -431,15 +413,14 @@ void Endpoint::local_switch(Group& g, const std::string& spec) {
 }
 
 void Endpoint::destroy() {
-  util::ReaderLock lock(groups_mu_);  // iterate only; no map mutation
   for (auto& [gid, g] : groups_) {
     if (g->destroyed()) continue;
     DownEvent ev;
     ev.type = DownType::kDestroy;
-    g->stack().down(*g, std::move(ev));
+    downcall(gid, std::move(ev));
     g->mark_destroyed();
   }
-  crashed_.store(true, std::memory_order_release);
+  crashed_ = true;
 }
 
 std::string Endpoint::dump(GroupId gid, const std::string& layer_name) {

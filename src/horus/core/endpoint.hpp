@@ -2,9 +2,15 @@
 // group objects built on it, and exposes the Table 1 downcalls to the
 // application. Upcalls that emerge from the top of the stack are delivered
 // to the application's handler.
+//
+// Threading: the endpoint has one owner thread, the one its executor runs
+// tasks on (the simulator's driver, or a node loop -- net/runtime.hpp).
+// The calls marked "any thread" post one task keyed by the group id and
+// touch nothing else, so they are safe from any thread. Every other call
+// must run on the executor's thread; on a node loop that means inside an
+// upcall or a posted task.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -12,7 +18,6 @@
 
 #include "horus/core/stack.hpp"
 #include "horus/properties/algebra.hpp"
-#include "horus/util/thread_annotations.hpp"
 
 namespace horus {
 
@@ -51,21 +56,25 @@ class Endpoint {
   /// of protocols can be built." Additional stacks share this endpoint's
   /// address and transport; incoming datagrams are demultiplexed to the
   /// stack owning the destination group via the frame's group-id prefix.
+  /// Call it before the executor's thread starts, or on that thread.
   Stack& add_stack(std::vector<std::unique_ptr<Layer>> layers,
                    props::PropertySet network_properties);
 
   /// Join a group on a specific stack (default join uses the base stack).
-  Group& join_on(Stack& stack, GroupId gid, Address contact = {});
+  /// Any thread.
+  void join_on(Stack& stack, GroupId gid, Address contact = {});
 
-  /// Receive upcalls. Must outlive the endpoint's activity.
+  /// Receive upcalls. Must outlive the endpoint's activity. Install it
+  /// before the first join.
   void on_upcall(UpcallHandler h) { handler_ = std::move(h); }
 
-  // -- Table 1 downcalls ------------------------------------------------------
+  // -- Table 1 downcalls (any thread) ----------------------------------------
 
   /// Join a group; `contact` is an existing member to rendezvous with (an
-  /// invalid address bootstraps a new singleton group). Returns the group
-  /// handle. The VIEW upcall arrives asynchronously.
-  Group& join(GroupId gid, Address contact = {});
+  /// invalid address bootstraps a new singleton group). The group object
+  /// is built, and its layer state made, by the posted task. The VIEW
+  /// upcall arrives asynchronously.
+  void join(GroupId gid, Address contact = {});
 
   /// Multicast to the group's current view.
   void cast(GroupId gid, Message msg);
@@ -106,7 +115,7 @@ class Endpoint {
   /// MBRSHIP manage views themselves and absorb this call.
   void install_view(GroupId gid, std::vector<Address> members);
 
-  // -- live reconfiguration ---------------------------------------------------
+  // -- live reconfiguration (executor thread, except set_required) ----------
 
   /// Install the spec->layers factory that live reconfiguration uses to
   /// build new layer chains (normally layers::make_stack, wired up by
@@ -134,7 +143,8 @@ class Endpoint {
 
   /// Declare the property set the application requires of `gid`'s stack
   /// (reconfigurations that would drop any of it are rejected). Defaults
-  /// to everything the join-time stack provided.
+  /// to everything the join-time stack provided. Any thread; ignored if
+  /// the endpoint is not a member when the task runs.
   void set_required(GroupId gid, props::PropertySet required);
 
   // Reconfiguration plumbing (called by the membership layer from inside
@@ -156,39 +166,37 @@ class Endpoint {
   bool adopt_epoch_for_join(Group& g, const std::string& spec,
                             std::uint32_t epoch);
 
+  // -- executor thread only --------------------------------------------------
+
   /// Tear down the endpoint: leave all groups, emit DESTROY.
   void destroy();
 
   /// Table 1 focus/dump: textual state of one layer in one group.
   std::string dump(GroupId gid, const std::string& layer_name);
 
-  // -- simulation support -----------------------------------------------------
-
   /// Hard-crash this endpoint: it stops sending, receiving and processing
   /// timers instantly (fail-stop). Used by failure-injection tests.
-  void crash() { crashed_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool crashed() const {
-    return crashed_.load(std::memory_order_acquire);
-  }
+  void crash() { crashed_ = true; }
+  [[nodiscard]] bool crashed() const { return crashed_; }
 
-  // -- plumbing used by Stack and the transport -------------------------------
-
-  /// Raw datagram entry: strips the group-id framing prefix and routes to
-  /// the stack that owns the group.
+  /// Raw datagram entry (the transport's receive path): strips the
+  /// group-id framing prefix and routes to the stack that owns the group.
   void deliver_datagram(Address src, std::shared_ptr<const Bytes> datagram);
-
-  /// Batched datagram entry: demultiplexes the burst and hands each
-  /// same-group run to its stack with one executor enqueue (drivers that
-  /// read several datagrams per socket wakeup fan in here).
-  void deliver_datagrams(Address src,
-                         std::vector<std::shared_ptr<const Bytes>> datagrams);
 
   [[nodiscard]] Group* find_group(GroupId gid);
   Group& group(GroupId gid);
+  /// The group a task acts on: null if the endpoint crashed, or the group
+  /// is unknown or destroyed, in which case the task does nothing.
+  [[nodiscard]] Group* live_group(GroupId gid);
   void deliver_app_upcall(Group& g, UpEvent& ev);
 
  private:
   Group& ensure_group(GroupId gid, Stack& on);
+  /// Post `act(Group&)` as a task of `gid`; it runs on the live group, if
+  /// any, after the task creates the group on `create_on` when one is
+  /// given. Defined (and only used) in endpoint.cpp.
+  template <class F>
+  void post_to(GroupId gid, F act, Stack* create_on = nullptr);
   void downcall(GroupId gid, DownEvent ev);
   /// Build a reconfiguration stack epoch (owned by the endpoint; epoch
   /// stacks stay allocated until endpoint destruction because timers and
@@ -209,14 +217,9 @@ class Endpoint {
   // all run on the executor's one thread.
   std::vector<std::unique_ptr<Stack>> epoch_stacks_;
   LayerFactory layer_factory_;
-  // Written on the application thread (join), read by the executor's
-  // thread (each task re-finds its group). Lookups take the shared side so
-  // the receive hot path never contends with other readers.
-  mutable util::SharedMutex groups_mu_;
-  std::unordered_map<GroupId, std::unique_ptr<Group>> groups_
-      GUARDED_BY(groups_mu_);
+  std::unordered_map<GroupId, std::unique_ptr<Group>> groups_;
   UpcallHandler handler_;
-  std::atomic<bool> crashed_{false};
+  bool crashed_ = false;
 };
 
 }  // namespace horus

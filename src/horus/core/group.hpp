@@ -9,9 +9,13 @@
 // chain's per-group layer state. Exactly one epoch is current; superseded
 // epochs linger as *draining shadows* so datagrams stamped with an old
 // epoch are still parsed by the layout that produced them, then retire.
+//
+// Threading: the group object is the monitor (Section 3). Every field is
+// touched only inside the group's own serialized tasks, on the endpoint's
+// executor thread -- which is exactly why neither the group nor its layers
+// need a lock.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -58,14 +62,9 @@ class Group {
 
   [[nodiscard]] GroupId gid() const { return gid_; }
 
-  /// The *current* epoch's stack. Loaded atomically: application threads
-  /// read it to post downcall tasks while a reconfig task on the group's
-  /// executor thread may be swapping epochs. The task body re-resolves through the
-  /// group, so a raced downcall still enters whichever epoch is current
-  /// when it actually runs.
-  [[nodiscard]] Stack& stack() const {
-    return *current_.load(std::memory_order_acquire);
-  }
+  /// The *current* epoch's stack. Downcall tasks resolve it when they run,
+  /// so a downcall enters whichever epoch is current by then.
+  [[nodiscard]] Stack& stack() const { return *current_; }
 
   /// The view as currently installed at this member. Membership layers
   /// update it; for membership-less stacks it is just the destination set.
@@ -78,30 +77,19 @@ class Group {
     view_ = std::move(v);
   }
 
-  // destroyed_ and current_ are the only fields crossing threads in a node
-  // runtime: set on the application thread (destroy) or inside a
-  // group task (epoch swap), read at task heads and downcall posting. All
-  // other Group state (view, epoch table, layer state slots) is only ever
-  // touched inside the group's own serialized tasks -- the group object is
-  // the monitor (Section 3), which is exactly why per-layer locks are
-  // unnecessary.
-  [[nodiscard]] bool destroyed() const {
-    return destroyed_.load(std::memory_order_acquire);
-  }
-  void mark_destroyed() { destroyed_.store(true, std::memory_order_release); }
+  [[nodiscard]] bool destroyed() const { return destroyed_; }
+  void mark_destroyed() { destroyed_ = true; }
 
-  // --- Epoch table (all calls below run inside group-serialized tasks,
-  // --- except knows_stack which timers use and which tolerates races by
-  // --- being re-checked inside the task that acts on it).
+  // --- Epoch table (all calls below run inside group-serialized tasks).
 
   [[nodiscard]] Epoch& current_epoch() {
     HORUS_RACE_PROBE_GROUP(race_owner_, gid_.id, "Group::current_epoch");
-    return *epoch_for(*current_.load(std::memory_order_acquire));
+    return *epoch_for(*current_);
   }
   [[nodiscard]] std::uint32_t epoch_number() const {
     HORUS_RACE_PROBE_GROUP(race_owner_, gid_.id, "Group::epoch_number");
     for (const Epoch& e : epochs_) {
-      if (e.stack == current_.load(std::memory_order_acquire)) return e.number;
+      if (e.stack == current_) return e.number;
     }
     return 0;
   }
@@ -160,7 +148,7 @@ class Group {
     e.number = number;
     e.stamp = stamp;
     epochs_.push_back(std::move(e));
-    current_.store(&s, std::memory_order_release);
+    current_ = &s;
   }
 
   /// Drop a draining epoch's record (frees its layer state). Refuses to
@@ -213,18 +201,18 @@ class Group {
 #ifdef HORUS_CHECK_RACES
   /// Ownership token for horus-race (race::owner_key of the owning
   /// executor and group key). 0 -- a bare Group built outside an endpoint
-  /// -- disables the probes for this group. required_/set_required stay
-  /// unprobed: the required property set is application-owned (read by the
-  /// reconfigure precheck on the app thread), like stack() and destroyed().
+  /// -- disables the probes for this group. required() and stack() stay
+  /// unprobed: reconfigure()'s precheck reads them on the executor's thread
+  /// but outside any task (the simulator's driver calls it directly).
   void race_set_owner(std::uint64_t token) { race_owner_ = token; }
   [[nodiscard]] std::uint64_t race_owner() const { return race_owner_; }
 #endif
 
  private:
   GroupId gid_;
-  std::atomic<Stack*> current_;
+  Stack* current_;
   View view_;
-  std::atomic<bool> destroyed_{false};
+  bool destroyed_ = false;
   props::PropertySet required_ = 0;
   std::vector<Epoch> epochs_;
 #ifdef HORUS_METRICS

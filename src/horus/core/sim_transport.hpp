@@ -10,8 +10,8 @@
 
 namespace horus {
 
-/// Transport over sim::SimNetwork. One instance can serve many endpoints
-/// (it is stateless per send).
+/// Transport over sim::SimNetwork. One instance can serve many endpoints;
+/// like the network, it belongs to the simulation's driver thread.
 class SimTransport final : public Transport {
  public:
   explicit SimTransport(sim::SimNetwork& net) : net_(&net) {}
@@ -23,15 +23,13 @@ class SimTransport final : public Transport {
   /// One network call for the whole fan-out, so the simulated wire stays
   /// behaviorally aligned with the real UDP sendmmsg path (same fault
   /// decision indices as a per-destination loop; one buffer copy shared
-  /// by all clean deliveries). thread_local scratch: one SimTransport is
-  /// shared by every endpoint, and no call pays for an allocation.
+  /// by all clean deliveries). The id scratch is reused, so no call pays
+  /// for an allocation.
   void send_batch(Address src, std::span<const Address> dsts,
                   ByteSpan datagram) override {
-    thread_local std::vector<sim::NodeId> ids;
-    ids.clear();
-    ids.reserve(dsts.size());
-    for (const Address& d : dsts) ids.push_back(d.id);
-    net_->send_multi(src.id, ids, datagram);
+    ids_.clear();
+    for (const Address& d : dsts) ids_.push_back(d.id);
+    net_->send_multi(src.id, ids_, datagram);
   }
 
   /// Register an endpoint's receive path with the network. Zero-copy: the
@@ -53,6 +51,7 @@ class SimTransport final : public Transport {
 
  private:
   sim::SimNetwork* net_;
+  std::vector<sim::NodeId> ids_;
 };
 
 }  // namespace horus

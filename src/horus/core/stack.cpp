@@ -153,55 +153,27 @@ std::size_t Stack::region_bytes() const {
   return cfg_.codec == HeaderCodec::kCompact ? layout_.byte_size() : 0;
 }
 
-// All three entry points (downcalls, datagrams, timers) post with the
+// Datagrams and timers enter through the executor, posting with the
 // group's key: the group object -- not the stack -- is the unit of mutual
 // exclusion (Section 3), and horus-race checks every task against it.
+// Downcalls are posted by the endpoint and enter here already inside the
+// group's task.
 
-void Stack::down(Group& g, DownEvent ev) {
+void Stack::app_down(Group& g, DownEvent& ev) {
   stats_.downcalls.fetch_add(1, std::memory_order_relaxed);
-  GroupId gid = g.gid();
-  HORUS_RACE_ORIGIN_SCOPE(race_origin, kDowncall);
-  exec_.post(gid.id, [this, gid, ev = std::move(ev)]() mutable {
-    if (owner_->crashed()) return;
-    Group* grp = owner_->find_group(gid);
-    if (grp == nullptr || grp->destroyed()) return;
-    // Re-resolve the current epoch: a reconfig task may have swapped the
-    // group's stack between posting and running, and an app downcall must
-    // always enter the epoch that is current when it executes.
-    grp->stack().forward_down(kAppSink, *grp, ev);
-  });
+  forward_down(kAppSink, g, ev);
 }
 
-void Stack::down_batch(Group& g, std::vector<DownEvent> evs) {
-  if (evs.empty()) return;
+void Stack::app_down_batch(Group& g, std::span<DownEvent> evs) {
   if (evs.size() == 1) {
-    down(g, std::move(evs[0]));
+    app_down(g, evs[0]);
     return;
   }
   stats_.downcalls.fetch_add(evs.size(), std::memory_order_relaxed);
   msg_path_stats().batch_descents.fetch_add(1, std::memory_order_relaxed);
   msg_path_stats().batched_events.fetch_add(evs.size(),
                                             std::memory_order_relaxed);
-  GroupId gid = g.gid();
-  HORUS_RACE_ORIGIN_SCOPE(race_origin, kDowncall);
-  exec_.post(gid.id, [this, gid, evs = std::move(evs)]() mutable {
-    if (owner_->crashed()) return;
-    Group* grp = owner_->find_group(gid);
-    if (grp == nullptr || grp->destroyed()) return;
-    grp->stack().forward_down_batch(kAppSink, *grp, evs);
-  });
-}
-
-void Stack::down_batch(Group& g, std::span<Message> msgs) {
-  std::vector<DownEvent> evs;
-  evs.reserve(msgs.size());
-  for (Message& m : msgs) {
-    DownEvent ev;
-    ev.type = DownType::kCast;
-    ev.msg = std::move(m);
-    evs.push_back(std::move(ev));
-  }
-  down_batch(g, std::move(evs));
+  forward_down_batch(kAppSink, g, evs);
 }
 
 namespace {
@@ -238,31 +210,8 @@ void Stack::deliver_datagram(Address src, GroupId gid,
   stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
   HORUS_RACE_ORIGIN_SCOPE(race_origin, kDatagram);
   exec_.post(gid.id, [this, src, gid, datagram = std::move(datagram)]() {
-    if (owner_->crashed()) return;
-    Group* g = owner_->find_group(gid);
-    if (g == nullptr || g->destroyed()) return;
-    route_by_epoch(*g, src, datagram);
+    if (Group* g = owner_->live_group(gid)) route_by_epoch(*g, src, datagram);
   });
-}
-
-void Stack::deliver_datagram_batch(
-    Address src, GroupId gid,
-    std::vector<std::shared_ptr<const Bytes>> datagrams) {
-  if (datagrams.empty()) return;
-  stats_.datagrams_received.fetch_add(datagrams.size(),
-                                      std::memory_order_relaxed);
-  HORUS_RACE_ORIGIN_SCOPE(race_origin, kDatagram);
-  std::vector<runtime::Task> tasks;
-  tasks.reserve(datagrams.size());
-  for (auto& d : datagrams) {
-    tasks.push_back([this, src, gid, datagram = std::move(d)]() {
-      if (owner_->crashed()) return;
-      Group* g = owner_->find_group(gid);
-      if (g == nullptr || g->destroyed()) return;
-      route_by_epoch(*g, src, datagram);
-    });
-  }
-  exec_.post_batch(gid.id, std::move(tasks));
 }
 
 void Stack::receive_inline(Group& g, Address src,
@@ -556,9 +505,8 @@ sim::TimerId Stack::schedule(GroupId gid, sim::Duration d,
   return sched_.schedule(d, [this, gid, fn = std::move(fn)]() {
     HORUS_RACE_ORIGIN_SCOPE(race_origin, kTimer);
     exec_.post(gid.id, [this, gid, fn]() {
-      if (owner_->crashed()) return;
-      Group* g = owner_->find_group(gid);
-      if (g == nullptr || g->destroyed()) return;
+      Group* g = owner_->live_group(gid);
+      if (g == nullptr) return;
       // Timers armed by a retired epoch's layers die quietly: their state
       // slots are gone. Draining shadows still tick (NAK repair keeps
       // running while stragglers drain).

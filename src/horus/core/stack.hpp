@@ -119,19 +119,19 @@ class Transport {
   /// One datagram to many destinations (the multicast fan-out COM performs
   /// for every cast). Default: a send() loop, so simple transports need
   /// only the unary hook. Real transports override it to reach the kernel
-  /// in one syscall (sendmmsg); the simulated network overrides it to make
-  /// all fault decisions under one lock acquisition. Overrides must behave
-  /// exactly like the loop: same per-destination outcomes, in `dsts` order.
+  /// in one syscall (sendmmsg); the simulated network overrides it to share
+  /// one buffer copy across the fan-out. Overrides must behave exactly like
+  /// the loop: same per-destination outcomes, in `dsts` order.
   virtual void send_batch(Address src, std::span<const Address> dsts,
                           ByteSpan datagram) {
     for (const Address& dst : dsts) send(src, dst, datagram);
   }
 };
 
-/// Counters for benches and tests. Atomics: a node loop bumps them while
-/// other threads read them (and downcalls count on the caller's thread),
-/// and the hot path must not take a lock for a counter (relaxed
-/// increments only).
+/// Counters for benches and tests. Only the thread that runs the stack
+/// bumps them, but they stay atomics because other threads read them while
+/// it runs: perfbench and the metrics registry's polls
+/// (NodeRuntime::register_metrics). Relaxed increments only.
 struct StackStats {
   std::atomic<std::uint64_t> downcalls{0};
   std::atomic<std::uint64_t> upcalls_to_app{0};
@@ -192,16 +192,15 @@ class Stack {
 
   // -- entry points ----------------------------------------------------------
 
-  /// Application downcall; enters the top of the stack via the executor.
-  void down(Group& g, DownEvent ev);
+  /// Application downcall, entering the top of the stack. Runs inside the
+  /// group's task, which Endpoint posts for every downcall.
+  void app_down(Group& g, DownEvent& ev);
 
   /// Batched downcall: all events enter the top of the stack in one
-  /// executor task and one traversal. Layers that declare batch_safe are
-  /// visited once per train; below the first batch-opaque layer the train
-  /// degrades to per-event forwarding (still inside the same task).
-  void down_batch(Group& g, std::vector<DownEvent> evs);
-  /// Convenience: multicast a batch of messages (each becomes a kCast).
-  void down_batch(Group& g, std::span<Message> msgs);
+  /// traversal. Layers that declare batch_safe are visited once per train;
+  /// below the first batch-opaque layer the train degrades to per-event
+  /// forwarding (still inside the same task).
+  void app_down_batch(Group& g, std::span<DownEvent> evs);
 
   /// Raw datagram from the transport, already demultiplexed to a group by
   /// the endpoint. The wire frame begins with a group-id prefix of
@@ -219,13 +218,6 @@ class Stack {
   /// be inside the group's serialized task.
   void receive_inline(Group& g, Address src,
                       std::shared_ptr<const Bytes> datagram);
-
-  /// Batched datagram delivery: one executor enqueue for the whole burst
-  /// (Executor::post_batch), so N datagrams for one group cost one queue
-  /// round-trip instead of N. Semantics per datagram match
-  /// deliver_datagram exactly.
-  void deliver_datagram_batch(Address src, GroupId gid,
-                              std::vector<std::shared_ptr<const Bytes>> datagrams);
 
   // -- sinks (called by the edge layers) -------------------------------------
 

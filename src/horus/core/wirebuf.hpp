@@ -38,7 +38,7 @@ namespace detail {
 /// buffer, so a buffer released after its pool is destroyed self-deletes
 /// instead of dangling.
 struct PoolShared {
-  std::mutex mu;
+  std::mutex mu;  // a Message may die, and return its buffer, on any thread
   std::vector<WireBuf*> free;
   std::size_t max_free = 0;
   bool closed = false;

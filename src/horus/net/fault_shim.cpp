@@ -1,7 +1,6 @@
 #include "horus/net/fault_shim.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace horus::net {
 
@@ -23,7 +22,6 @@ FaultShimTransport::FaultShimTransport(Transport& inner, FaultShimConfig cfg,
 }
 
 FaultShimTransport::Fate FaultShimTransport::decide() {
-  util::MutexLock lock(mu_);
   // Fixed draws per stream per decision, whatever the outcome: decision
   // next_decision_ depends only on (seed, index).
   Fate f;
@@ -37,11 +35,6 @@ FaultShimTransport::Fate FaultShimTransport::decide() {
   return f;
 }
 
-std::uint64_t FaultShimTransport::decisions_made() const {
-  util::MutexLock lock(mu_);
-  return next_decision_;
-}
-
 void FaultShimTransport::dispatch(Address src, Address dst, ByteSpan datagram,
                                   sim::Duration delay) {
   if (delay == 0 || sched_ == nullptr) {
@@ -50,8 +43,7 @@ void FaultShimTransport::dispatch(Address src, Address dst, ByteSpan datagram,
     return;
   }
   // The span is dead once we return; the delayed copy owns its bytes. The
-  // closure runs on the scheduler's driver thread -- the inner transport's
-  // send is thread-safe (UDP sendto; SimNetwork takes its own lock).
+  // closure runs on the scheduler's thread, which is the one that sends.
   stats_.delayed.fetch_add(1, std::memory_order_relaxed);
   sched_->schedule(delay, [this, src, dst,
                            copy = Bytes(datagram.begin(), datagram.end())]() {
@@ -79,9 +71,7 @@ void FaultShimTransport::send_batch(Address src,
   // Per-destination fates in dsts order. Destinations whose primary copy
   // leaves now are re-gathered so the inner transport still sees one
   // batched send; duplicates and delayed copies go out individually.
-  thread_local std::vector<Address> now;
-  now.clear();
-  now.reserve(dsts.size());
+  now_.clear();
   for (const Address& dst : dsts) {
     Fate f = decide();
     if (f.drop) {
@@ -93,14 +83,14 @@ void FaultShimTransport::send_batch(Address src,
       dispatch(src, dst, datagram, f.dup_delay);
     }
     if (f.delay == 0 || sched_ == nullptr) {
-      now.push_back(dst);
+      now_.push_back(dst);
     } else {
       dispatch(src, dst, datagram, f.delay);
     }
   }
-  if (now.empty()) return;
-  stats_.forwarded.fetch_add(now.size(), std::memory_order_relaxed);
-  inner_->send_batch(src, now, datagram);
+  if (now_.empty()) return;
+  stats_.forwarded.fetch_add(now_.size(), std::memory_order_relaxed);
+  inner_->send_batch(src, now_, datagram);
 }
 
 }  // namespace horus::net

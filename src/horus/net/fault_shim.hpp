@@ -14,15 +14,19 @@
 // reproducible, but the fault schedule itself is, which keeps two runs
 // with the same seed statistically identical and makes "the run that
 // failed" describable by (seed, decision count).
+//
+// Threading: like the transport it wraps, the shim is driven by the one
+// thread that runs the node's protocol code (a NodeRuntime's loop), which
+// also runs the scheduler its delayed copies leave from.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "horus/core/stack.hpp"
 #include "horus/sim/scheduler.hpp"
 #include "horus/util/rng.hpp"
-#include "horus/util/thread_annotations.hpp"
 
 namespace horus::net {
 
@@ -37,6 +41,7 @@ struct FaultShimConfig {
   std::uint64_t seed = 0x5eed;
 };
 
+/// Atomics: NodeRuntime::register_metrics polls them from other threads.
 struct FaultShimStats {
   std::atomic<std::uint64_t> forwarded{0};
   std::atomic<std::uint64_t> dropped{0};
@@ -69,7 +74,7 @@ class FaultShimTransport final : public Transport {
   [[nodiscard]] const FaultShimStats& stats() const { return stats_; }
   /// Decisions made so far (the next decision's index) -- the shim's
   /// analogue of SimNetwork::decisions_made().
-  [[nodiscard]] std::uint64_t decisions_made() const;
+  [[nodiscard]] std::uint64_t decisions_made() const { return next_decision_; }
 
  private:
   struct Fate {
@@ -79,20 +84,18 @@ class FaultShimTransport final : public Transport {
     sim::Duration dup_delay = 0;
   };
   /// Consumes exactly one decision index; fixed draws per stream.
-  Fate decide() EXCLUDES(mu_);
+  Fate decide();
   void dispatch(Address src, Address dst, ByteSpan datagram,
                 sim::Duration delay);
 
   Transport* inner_;
   FaultShimConfig cfg_;
   sim::Scheduler* sched_;
-  // A Transport may be called from any thread; the streams must hand out
-  // draws atomically per decision to keep "decision i = f(seed, i)".
-  mutable util::Mutex mu_;
-  Rng drop_ GUARDED_BY(mu_);
-  Rng dup_ GUARDED_BY(mu_);
-  Rng delay_rng_ GUARDED_BY(mu_);
-  std::uint64_t next_decision_ GUARDED_BY(mu_) = 0;
+  Rng drop_;
+  Rng dup_;
+  Rng delay_rng_;
+  std::uint64_t next_decision_ = 0;
+  std::vector<Address> now_;  // send_batch scratch: copies that leave now
   FaultShimStats stats_;
 };
 

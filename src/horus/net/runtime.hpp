@@ -20,11 +20,12 @@
 //   * shutdown stops and joins the loop, runs what is left in the inbox on
 //     the calling thread, and keeps the endpoint for inspection.
 //
-// Any thread may call the endpoint's downcalls (join, cast, leave, ...);
-// upcalls run on the node loop. Endpoint::join still builds the group's
-// layer state on the caller's thread, which is why sim::Scheduler keeps its
-// lock. This is what tools/horus-node and the multi-process examples build
-// on.
+// Any thread may call the endpoint's downcalls (join, cast, leave, ...):
+// each posts one task into the executor's inbox, and the loop builds the
+// group, arms its timers and descends the stack. Upcalls run on the node
+// loop. The inbox is the only place other threads meet the node; the
+// scheduler, transport and endpoint hold no lock. This is what
+// tools/horus-node and the multi-process examples build on.
 #pragma once
 
 #include <atomic>
@@ -118,8 +119,8 @@ class NodeRuntime {
   Fd wake_fd_;
   static constexpr sim::Time kDisarmed = ~sim::Time{0};
   sim::Time armed_at_ = kDisarmed;  // loop thread only
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> events_{0};
+  std::atomic<bool> stop_{false};          // set by shutdown() on its caller
+  std::atomic<std::uint64_t> events_{0};  // read by run_for() on its caller
   std::thread loop_;
   bool down_ = false;
 };

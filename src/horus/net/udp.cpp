@@ -139,9 +139,8 @@ void UdpTransport::send_batch(Address /*src*/, std::span<const Address> dsts,
   }
   // Route everything first; the syscall batches then contain only
   // sendable destinations.
-  thread_local std::vector<const PeerEntry*> peers;
+  std::vector<const PeerEntry*>& peers = tx_peers_;
   peers.clear();
-  peers.reserve(dsts.size());
   for (const Address& dst : dsts) {
     const PeerEntry* peer = book_.find(dst);
     if (peer == nullptr) {
@@ -209,11 +208,6 @@ void UdpTransport::read_burst() {
   std::vector<mmsghdr> msgs(batch);
   std::vector<iovec> iovs(batch);
   std::vector<sockaddr_storage> srcs(batch);
-  struct Arrival {
-    Address src;
-    std::shared_ptr<const Bytes> data;
-  };
-  std::vector<Arrival> arrivals;
   for (;;) {
     for (unsigned i = 0; i < batch; ++i) {
       if (bufs[i].size() != cfg_.mtu) bufs[i].resize(cfg_.mtu);
@@ -226,7 +220,6 @@ void UdpTransport::read_burst() {
     }
     int got = ::recvmmsg(fd_, msgs.data(), batch, MSG_DONTWAIT, nullptr);
     if (got <= 0) break;  // EAGAIN: socket drained (or transient error)
-    arrivals.clear();
     for (int i = 0; i < got; ++i) {
       if ((msgs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
         // Bigger than our MTU-sized buffer: the tail is already lost, so
@@ -249,27 +242,10 @@ void UdpTransport::read_burst() {
       stats_.rx_bytes.fetch_add(len, std::memory_order_relaxed);
       Bytes buf = std::move(bufs[i]);
       buf.resize(len);  // shrink: no reallocation, no copy
-      arrivals.push_back(
-          {sender->addr, std::make_shared<const Bytes>(std::move(buf))});
-    }
-    // Hand consecutive same-sender runs to the endpoint as one batch
-    // (one executor enqueue per run); order within the burst is preserved.
-    std::size_t i = 0;
-    while (i < arrivals.size()) {
-      std::size_t j = i + 1;
-      while (j < arrivals.size() && arrivals[j].src == arrivals[i].src) ++j;
-      if (j - i == 1) {
-        endpoint_->deliver_datagram(arrivals[i].src,
-                                    std::move(arrivals[i].data));
-      } else {
-        std::vector<std::shared_ptr<const Bytes>> run;
-        run.reserve(j - i);
-        for (std::size_t k = i; k < j; ++k) {
-          run.push_back(std::move(arrivals[k].data));
-        }
-        endpoint_->deliver_datagrams(arrivals[i].src, std::move(run));
-      }
-      i = j;
+      // On the loop thread the endpoint's post runs inline: the datagram
+      // goes through the stack before the next one is looked at.
+      endpoint_->deliver_datagram(
+          sender->addr, std::make_shared<const Bytes>(std::move(buf)));
     }
     if (static_cast<unsigned>(got) < batch) break;  // drained in one gulp
   }

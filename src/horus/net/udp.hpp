@@ -7,28 +7,28 @@
 //
 // Architecture:
 //
-//   * Tx happens on whatever thread calls send()/send_batch() -- in a node
-//     that is the node loop, which runs all protocol code. The socket is
-//     non-blocking and sendto/sendmmsg on one fd are kernel-serialized, so
-//     no user lock is needed; a full socket buffer is absorbed by a short
-//     poll(POLLOUT) retry loop (counted) before the datagram is dropped
-//     best-effort. Multi-destination fan-out (the COM broadcast path) goes
-//     through sendmmsg: one syscall per tx_batch destinations.
+//   * Tx happens on the thread that runs the protocol code -- in a node
+//     that is the node loop. The socket is non-blocking; a full socket
+//     buffer is absorbed by a short poll(POLLOUT) retry loop (counted)
+//     before the datagram is dropped best-effort. Multi-destination
+//     fan-out (the COM broadcast path) goes through sendmmsg: one syscall
+//     per tx_batch destinations.
 //
 //   * Rx has no thread of its own. The owner watches fd() for readability
 //     and calls read_burst(), which drains the socket with recvmmsg into
 //     pre-sized Bytes buffers that become the zero-copy delivery buffers
 //     themselves -- the kernel writes straight into the allocation that
-//     deliver_datagrams() hands to the stack, so a datagram is copied
+//     deliver_datagram() hands to the stack, so a datagram is copied
 //     exactly once (NIC -> buffer), matching SimNetwork's one-copy
 //     discipline. Source addresses resolve to Horus addresses through the
 //     AddressBook; unknown senders are counted and dropped before any stack
 //     code sees the bytes.
 //
-// Threading contract: read_burst() calls Endpoint::deliver_datagrams,
-// whose tasks run on the endpoint's executor, so it must be called on the
-// thread that runs the endpoint's protocol code. NodeRuntime
-// (net/runtime.hpp) calls it from its node loop.
+// Threading contract: one thread owns the transport -- the one that runs
+// the bound endpoint's protocol code, since read_burst() hands each
+// datagram to Endpoint::deliver_datagram and sends come from that code.
+// NodeRuntime (net/runtime.hpp) calls both from its node loop. Only the
+// stats are read from other threads.
 #pragma once
 
 #include <atomic>
@@ -59,7 +59,8 @@ struct UdpConfig {
 };
 
 /// Wire counters, mirroring sim::NetStats for the real transport. Atomics:
-/// the node loop counts while other threads read.
+/// the node loop counts while other threads read (perfbench, and the
+/// registry polls NodeRuntime::register_metrics installs).
 struct UdpStats {
   std::atomic<std::uint64_t> tx_datagrams{0};
   std::atomic<std::uint64_t> tx_bytes{0};
@@ -134,8 +135,10 @@ class UdpTransport final : public Transport {
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   Endpoint* endpoint_ = nullptr;
-  /// Receive slots, reused across bursts (read_burst's thread only).
+  /// Receive slots, reused across bursts.
   std::vector<Bytes> rx_bufs_;
+  /// send_batch scratch: the routed destinations of one fan-out.
+  std::vector<const PeerEntry*> tx_peers_;
   UdpStats stats_;
 };
 

@@ -166,6 +166,7 @@ class FlightRecorder {
   void reset();
 
  private:
+  // Process-global: several nodes' loops in one process share the recorder.
   mutable util::Mutex mu_;
   std::map<std::uint64_t, std::unique_ptr<GroupRing>> rings_ GUARDED_BY(mu_);
   std::map<std::uint64_t, std::vector<std::string>> layer_names_

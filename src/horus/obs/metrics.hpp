@@ -172,6 +172,7 @@ class MetricsRegistry {
     bool is_counter = true;
     std::function<std::int64_t()> fn;
   };
+  // Process-global: several nodes' loops and the exporting thread share it.
   mutable util::Mutex mu_;
   // node-based maps: get-or-create never invalidates handed-out addresses
   std::map<std::string, Counter> counters_ GUARDED_BY(mu_);

@@ -29,29 +29,14 @@ thread_local const GroupExecutor* t_loop_of = nullptr;
 
 }  // namespace
 
-Task Executor::wrap([[maybe_unused]] GroupKey key, Task t,
-                    [[maybe_unused]] bool probe) const {
+Task Executor::wrap([[maybe_unused]] GroupKey key, Task t) const {
 #ifdef HORUS_METRICS
-  if (probe) t = obs::wrap_queue_delay_probe(std::move(t));
+  t = obs::wrap_queue_delay_probe(std::move(t));
 #endif
 #ifdef HORUS_CHECK_RACES
   t = race::wrap_task(this, key, std::move(t));
 #endif
   return t;
-}
-
-void Executor::post_batch(GroupKey key, std::vector<Task> tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1) {
-    post(key, std::move(tasks[0]));
-    return;
-  }
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i] = wrap(key, std::move(tasks[i]), /*probe=*/i == 0);
-  }
-  enqueue(key, [tasks = std::move(tasks)]() {
-    for (const Task& t : tasks) t();
-  });
 }
 
 void GroupExecutor::enqueue(GroupKey key, Task t) {

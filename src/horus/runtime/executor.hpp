@@ -44,19 +44,13 @@ class Executor {
   /// Submit a task bound to a group, the unit of mutual exclusion
   /// (Section 3). Depending on the model it may run before post returns.
   void post(GroupKey key, Task t) { enqueue(key, wrap(key, std::move(t))); }
-  /// Submit several tasks bound to one group as a unit: they run in order,
-  /// back to back, costing one queue round-trip instead of one per task
-  /// (the delivery-side half of the packing accelerator).
-  void post_batch(GroupKey key, std::vector<Task> tasks);
 
  private:
   /// The one place tasks are instrumented: the queue-delay probe innermost
   /// (it times queue residency only, not the race bookkeeping), the
-  /// horus-race group frame outermost. A batch probes only its first task:
-  /// one enqueue, one delay sample.
-  Task wrap(GroupKey key, Task t, bool probe = true) const;
-  /// Queue (or run) an already-wrapped task. A batch arrives composed
-  /// into one task.
+  /// horus-race group frame outermost.
+  Task wrap(GroupKey key, Task t) const;
+  /// Queue (or run) an already-wrapped task.
   virtual void enqueue(GroupKey key, Task t) = 0;
 };
 
@@ -116,6 +110,8 @@ class GroupExecutor final : public Executor {
   bool running_ = false;
   DispatchTrace trace_;
   std::function<void()> wake_;
+  // The inbox is the one place other threads meet the loop thread: their
+  // posts go in, the loop's take_inbox takes them out.
   util::Mutex inbox_mu_;
   std::vector<std::pair<GroupKey, Task>> inbox_ GUARDED_BY(inbox_mu_);
 };

@@ -28,13 +28,7 @@ FaultDecision RngFaultPolicy::decide(std::uint64_t /*index*/, NodeId /*src*/,
 }
 
 void SimNetwork::set_fault_policy(std::shared_ptr<FaultPolicy> p) {
-  util::MutexLock lock(mu_);
   policy_ = std::move(p);
-}
-
-std::uint64_t SimNetwork::decisions_made() const {
-  util::MutexLock lock(mu_);
-  return next_decision_;
 }
 
 void SimNetwork::attach(NodeId node, Handler handler) {
@@ -48,17 +42,14 @@ bool SimNetwork::is_attached(NodeId node) const {
 }
 
 void SimNetwork::set_link_params(NodeId src, NodeId dst, const LinkParams& p) {
-  util::MutexLock lock(mu_);
   link_params_[{src, dst}] = p;
 }
 
 void SimNetwork::clear_link_params(NodeId src, NodeId dst) {
-  util::MutexLock lock(mu_);
   link_params_.erase({src, dst});
 }
 
 void SimNetwork::set_partitions(const std::vector<std::vector<NodeId>>& cells) {
-  util::MutexLock lock(mu_);
   cell_of_.clear();
   partitioned_ = !cells.empty();
   int idx = 0;
@@ -69,11 +60,6 @@ void SimNetwork::set_partitions(const std::vector<std::vector<NodeId>>& cells) {
 }
 
 bool SimNetwork::can_reach(NodeId a, NodeId b) const {
-  util::MutexLock lock(mu_);
-  return can_reach_locked(a, b);
-}
-
-bool SimNetwork::can_reach_locked(NodeId a, NodeId b) const {
   if (!partitioned_) return true;
   auto ia = cell_of_.find(a);
   auto ib = cell_of_.find(b);
@@ -81,7 +67,7 @@ bool SimNetwork::can_reach_locked(NodeId a, NodeId b) const {
   return ia->second == ib->second;
 }
 
-const LinkParams& SimNetwork::params_for_locked(NodeId src, NodeId dst) const {
+const LinkParams& SimNetwork::params_for(NodeId src, NodeId dst) const {
   auto it = link_params_.find({src, dst});
   return it != link_params_.end() ? it->second : default_params_;
 }
@@ -97,23 +83,19 @@ void SimNetwork::send_multi(NodeId src, std::span<const NodeId> dsts,
   stats_.sent.fetch_add(dsts.size(), std::memory_order_relaxed);
   stats_.bytes_sent.fetch_add(dsts.size() * data.size(),
                               std::memory_order_relaxed);
-  // One lock for the whole burst: link params, partition state and the
-  // fault decisions must stay coherent (and decisions must be made in a
-  // fixed order, for determinism) even when several threads send at once.
   // Decisions are consumed per destination in `dsts` order, so this is
   // index-for-index identical to a send() loop.
-  util::MutexLock lock(mu_);
   // The one copy on the receive path (the simulated NIC writing into a
   // fresh receive buffer); every clean delivery of this burst -- duplicates
   // included -- shares it from here on.
   std::shared_ptr<const Bytes> clean;
   for (NodeId dst : dsts) {
-    const LinkParams& p = params_for_locked(src, dst);
+    const LinkParams& p = params_for(src, dst);
     if (data.size() > p.mtu) {
       stats_.dropped_mtu.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (!can_reach_locked(src, dst)) {
+    if (!can_reach(src, dst)) {
       stats_.dropped_partition.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -145,19 +127,16 @@ void SimNetwork::send_multi(NodeId src, std::span<const NodeId> dsts,
     }
     if (d.duplicate) {
       stats_.duplicated.fetch_add(1, std::memory_order_relaxed);
-      deliver_at_locked(src, dst, payload, d.dup_delay);
+      deliver_at(src, dst, payload, d.dup_delay);
     }
-    deliver_at_locked(src, dst, std::move(payload), d.delay);
+    deliver_at(src, dst, std::move(payload), d.delay);
   }
 }
 
-void SimNetwork::deliver_at_locked(NodeId src, NodeId dst,
-                                   std::shared_ptr<const Bytes> data,
-                                   Duration delay) {
+void SimNetwork::deliver_at(NodeId src, NodeId dst,
+                            std::shared_ptr<const Bytes> data,
+                            Duration delay) {
   sched_.schedule(delay, [this, src, dst, data = std::move(data)]() {
-    // Runs on the driver thread. handlers_ is confined to it; partition
-    // state is shared, so check it under the lock but call the handler
-    // outside (the receive path re-enters send()).
     auto it = handlers_.find(dst);
     if (it == handlers_.end()) {
       stats_.dropped_crashed.fetch_add(1, std::memory_order_relaxed);

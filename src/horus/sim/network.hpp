@@ -8,7 +8,9 @@
 // which is what drives the MBRSHIP flush protocol and the Figure 2 scenario.
 //
 // Delivery is mediated by the shared Scheduler, so a whole multi-node run
-// is deterministic given the seed.
+// is deterministic given the seed. Like the Scheduler, the network belongs
+// to the one thread that drives the simulation: sends, deliveries and the
+// world's reconfiguration (partitions, link parameters) all happen there.
 #pragma once
 
 #include <atomic>
@@ -23,7 +25,6 @@
 #include "horus/sim/scheduler.hpp"
 #include "horus/util/bytes.hpp"
 #include "horus/util/rng.hpp"
-#include "horus/util/thread_annotations.hpp"
 
 namespace horus::sim {
 
@@ -61,7 +62,7 @@ struct FaultDecision {
 /// partition checks -- consume an index), which gives every decision a
 /// stable identity for record/replay. Implementations must be
 /// deterministic functions of (their seed, index, arguments); they are
-/// invoked under the network lock, in send order.
+/// invoked in send order.
 class FaultPolicy {
  public:
   virtual ~FaultPolicy() = default;
@@ -84,9 +85,10 @@ class RngFaultPolicy final : public FaultPolicy {
   Rng loss_, dup_, corrupt_, delay_;
 };
 
-/// Counters for observability and the benchmark harness. Atomics: other
-/// threads may read them while the driver counts, and counting must not
-/// lock (atomics, not locks, on the hot path).
+/// Counters for observability and the benchmark harness. Only the driver
+/// counts; they stay atomics like StackStats and UdpStats (whose readers
+/// sit on other threads), and perfbench reads them with load(). Relaxed
+/// increments only.
 struct NetStats {
   std::atomic<std::uint64_t> sent{0};
   std::atomic<std::uint64_t> delivered{0};
@@ -133,23 +135,17 @@ class SimNetwork {
   /// Best-effort datagram send.
   void send(NodeId src, NodeId dst, ByteSpan data);
 
-  /// One datagram to many destinations under a single lock acquisition
-  /// (the Transport::send_batch path). Behaviorally identical to calling
+  /// One datagram to many destinations in one call (the
+  /// Transport::send_batch path). Behaviorally identical to calling
   /// send() once per destination in order -- the same fault decisions are
   /// made with the same indices, so horus-check recordings stay aligned
   /// whether a stack uses the batched or the per-destination wire path --
   /// but all clean deliveries share one buffer copy.
   void send_multi(NodeId src, std::span<const NodeId> dsts, ByteSpan data);
 
-  /// Default parameters for links without an override. Returned by value:
-  /// the stored copy is guarded by the network lock, so handing out a
-  /// reference would let callers read it unsynchronized.
-  void set_default_params(const LinkParams& p) {
-    util::MutexLock lock(mu_);
-    default_params_ = p;
-  }
-  [[nodiscard]] LinkParams default_params() const {
-    util::MutexLock lock(mu_);
+  /// Default parameters for links without an override.
+  void set_default_params(const LinkParams& p) { default_params_ = p; }
+  [[nodiscard]] const LinkParams& default_params() const {
     return default_params_;
   }
 
@@ -171,34 +167,23 @@ class SimNetwork {
   /// mid-run invalidates the decision indices recorded so far.
   void set_fault_policy(std::shared_ptr<FaultPolicy> p);
   /// Number of fault decisions made so far (the next decision's index).
-  [[nodiscard]] std::uint64_t decisions_made() const;
+  [[nodiscard]] std::uint64_t decisions_made() const { return next_decision_; }
 
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
 
  private:
-  const LinkParams& params_for_locked(NodeId src, NodeId dst) const
-      REQUIRES(mu_);
-  bool can_reach_locked(NodeId a, NodeId b) const REQUIRES(mu_);
-  void deliver_at_locked(NodeId src, NodeId dst,
-                         std::shared_ptr<const Bytes> data, Duration delay)
-      REQUIRES(mu_);
+  const LinkParams& params_for(NodeId src, NodeId dst) const;
+  void deliver_at(NodeId src, NodeId dst, std::shared_ptr<const Bytes> data,
+                  Duration delay);
 
   Scheduler& sched_;
-  // mu_ guards the fault policy, link parameters and partition state:
-  // send() may run on another thread than the one that reconfigures the
-  // world. handlers_ is confined to the driver thread
-  // (attach/crash and deliveries all happen there), so handler invocation
-  // never holds the lock -- which is also why handlers_ carries no
-  // GUARDED_BY: its discipline is thread confinement, not a capability.
-  mutable util::Mutex mu_;
-  std::shared_ptr<FaultPolicy> policy_ GUARDED_BY(mu_);
-  std::uint64_t next_decision_ GUARDED_BY(mu_) = 0;
-  LinkParams default_params_ GUARDED_BY(mu_);
+  std::shared_ptr<FaultPolicy> policy_;
+  std::uint64_t next_decision_ = 0;
+  LinkParams default_params_;
   std::unordered_map<NodeId, Handler> handlers_;
-  std::map<std::pair<NodeId, NodeId>, LinkParams> link_params_
-      GUARDED_BY(mu_);
-  std::unordered_map<NodeId, int> cell_of_ GUARDED_BY(mu_);  // empty = whole
-  bool partitioned_ GUARDED_BY(mu_) = false;
+  std::map<std::pair<NodeId, NodeId>, LinkParams> link_params_;
+  std::unordered_map<NodeId, int> cell_of_;  // empty = whole
+  bool partitioned_ = false;
   NetStats stats_;
 };
 

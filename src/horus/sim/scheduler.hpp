@@ -9,36 +9,32 @@
 // Time is in microseconds.
 //
 // Tie-break guarantee: events with equal deadlines fire strictly in
-// scheduling order. Every schedule() call is stamped, under the queue
-// lock, with a monotonically increasing sequence number, and the priority
-// queue orders by (deadline, sequence). Two runs that issue the same
-// schedule() calls in the same order therefore fire events in exactly the
-// same order -- which is what makes recorded executions (horus-check's
-// trace record/replay) bit-identical, independent of hash-map iteration
-// order or timer-id values. The simulator runs every task on its one
-// driver thread, so its posting order is always deterministic.
+// scheduling order. Every schedule() call is stamped with a monotonically
+// increasing sequence number, and the heap orders by (deadline, sequence).
+// Two runs that issue the same schedule() calls in the same order therefore
+// fire events in exactly the same order -- which is what makes recorded
+// executions (horus-check's trace record/replay) bit-identical, independent
+// of hash-map iteration order or timer-id values.
 //
-// Thread safety: schedule/cancel/now/next_due may be called from any thread.
-// Protocol code runs on the thread that runs the queue (the simulator's
-// driver, or a node loop), but Endpoint::join still builds a group's layer
-// state -- which arms NAK's timers -- on the caller's thread while a node
-// loop may be running the queue. That is the lock's one remaining reason.
-// The run methods themselves must stay on one driver thread; event
-// closures execute outside the internal lock, so they may freely re-enter
-// schedule/cancel. The lock adds no ordering of its own, so
-// single-threaded runs are bit-identical to the unlocked implementation.
+// Storage: each live event owns a slot that holds its closure; the heap
+// holds only (deadline, sequence, slot). A TimerId names a slot and the
+// slot's generation, so cancel() frees a live event in place and a stale
+// id -- one that already fired or was cancelled -- is a no-op. Memory is
+// bounded by the events live at once, and pending()/empty() are exact.
+//
+// Threading: one thread owns a scheduler -- the simulator's driver, or a
+// node loop (net/runtime.hpp), which also runs every task that arms or
+// cancels a timer. Only now() may be read from other threads (a relaxed
+// atomic; tests and the node's owner read the loop's clock).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "horus/analysis/race.hpp"
-#include "horus/util/thread_annotations.hpp"
 
 namespace horus::sim {
 
@@ -60,6 +56,7 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  /// The only call that is safe from any thread.
   [[nodiscard]] Time now() const {
     return now_.load(std::memory_order_relaxed);
   }
@@ -67,7 +64,8 @@ class Scheduler {
   /// Schedule `fn` to run at now() + delay. Returns a cancellable id.
   TimerId schedule(Duration delay, std::function<void()> fn);
 
-  /// Cancel a previously scheduled event. Safe to call after it fired.
+  /// Cancel a scheduled event. A no-op for an id that already fired or was
+  /// cancelled.
   void cancel(TimerId id);
 
   /// Run events until the queue is empty. Returns number of events run.
@@ -82,25 +80,26 @@ class Scheduler {
   /// Run at most one event; returns false if the queue is empty.
   bool step();
 
-  /// Timestamp of the earliest pending (non-cancelled) event, if any. Lets
-  /// a node loop arm its timer precisely instead of busy-polling.
-  [[nodiscard]] std::optional<Time> next_due() const;
+  /// Timestamp of the earliest pending event, if any. Lets a node loop arm
+  /// its timer precisely instead of busy-polling.
+  [[nodiscard]] std::optional<Time> next_due() const {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().at;
+  }
 
-  [[nodiscard]] bool empty() const {
-    util::MutexLock lock(mu_);
-    return queue_.size() == cancelled_.size();
-  }
-  [[nodiscard]] std::size_t pending() const {
-    util::MutexLock lock(mu_);
-    return queue_.size() - cancelled_.size();
-  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
  private:
-  struct Event {
+  struct Entry {
     Time at = 0;
     std::uint64_t seq = 0;  // tiebreak: FIFO among equal-time events
-    TimerId id = 0;
+    std::uint32_t slot = 0;
+  };
+  struct Slot {
     std::function<void()> fn;
+    std::uint32_t gen = 1;  // bumped on every release; never 0
+    std::uint32_t pos = 0;  // index in heap_ while live
 #ifdef HORUS_CHECK_RACES
     // The scheduling thread's clock at schedule() time: the driver thread
     // acquires it before firing, so schedule -> fire is a happens-before
@@ -108,26 +107,25 @@ class Scheduler {
     race::ClockSnapshot snap;
 #endif
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
 
-  /// Drop cancelled events sitting at the head of the queue (so top() is
-  /// always a live event). Caller holds mu_.
-  void prune_cancelled_locked() const REQUIRES(mu_);
-  /// Pop the earliest live event into `out`. Caller holds mu_.
-  bool pop_one_locked(Event& out) REQUIRES(mu_);
+  static bool earlier(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  void place(std::size_t i, const Entry& e);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Take heap_[i] out of the heap (its slot stays allocated).
+  void remove_at(std::size_t i);
+  /// Free a slot: drop its closure and invalidate every id naming it.
+  void release(std::uint32_t slot);
+  /// Pop the earliest event, advance now() to it and run it.
+  void fire_head();
 
-  mutable util::Mutex mu_;
   std::atomic<Time> now_{0};
-  std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
-  TimerId next_id_ GUARDED_BY(mu_) = 1;
-  mutable std::priority_queue<Event, std::vector<Event>, Later> queue_
-      GUARDED_BY(mu_);
-  mutable std::unordered_set<TimerId> cancelled_ GUARDED_BY(mu_);
+  std::uint64_t next_seq_ = 0;
+  std::vector<Entry> heap_;  // binary min-heap by (at, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace horus::sim

@@ -9,6 +9,8 @@
 
 namespace horus {
 
+/// Atomics: one process-wide set, bumped by every node's loop and read by
+/// perfbench and the metrics registry's polls from other threads.
 struct MsgPathStats {
   std::atomic<std::uint64_t> pool_hits{0};     ///< pooled buffer reused
   std::atomic<std::uint64_t> pool_misses{0};   ///< new buffer heap-allocated

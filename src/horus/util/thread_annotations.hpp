@@ -3,8 +3,8 @@
 // to reason about (std::mutex carries no annotations on libstdc++).
 //
 // Under GCC, or Clang without the analysis, every macro expands to nothing
-// and the wrappers are exactly std::mutex / std::shared_mutex with an
-// inlined forwarding layer -- zero runtime difference.
+// and the wrapper is exactly std::mutex with an inlined forwarding layer --
+// zero runtime difference.
 //
 // Usage mirrors the Clang documentation:
 //
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define HORUS_THREAD_ANNOTATION(x) __attribute__((x))
@@ -75,23 +74,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// std::shared_mutex with reader/writer capabilities.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
-  [[nodiscard]] std::shared_mutex& native() { return mu_; }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive lock over Mutex (std::lock_guard with annotations).
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -102,32 +84,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII exclusive lock over SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~WriterLock() RELEASE() { mu_.unlock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock over SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() RELEASE_GENERIC() { mu_.unlock_shared(); }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace horus::util

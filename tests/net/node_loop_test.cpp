@@ -1,9 +1,10 @@
 // The node loop (net/runtime.hpp): one thread per node runs the socket,
 // the protocol timers and the tasks other threads post. These tests pin
 // down what that thread promises: it keeps time by itself, it runs posts
-// before the datagrams that arrive with them, it keeps per-group FIFO for
-// casts from other threads, it hands its leftovers to shutdown, and it is
-// the only thread a node starts.
+// before the datagrams that arrive with them, it builds a joined group
+// itself, it keeps per-group FIFO for joins, casts and leaves from other
+// threads, it hands its leftovers to shutdown, and it is the only thread a
+// node starts.
 #include "horus/net/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "horus/analysis/race.hpp"
+#include "horus/layers/registry.hpp"
 #include "loopback.hpp"
 
 namespace horus::net {
@@ -54,6 +56,38 @@ auto on_loop(NodeRuntime& node, F fn) -> decltype(fn()) {
 AddressBook one_node_book() {
   return AddressBook::parse(loopback_entry(1, free_port()));
 }
+
+/// Poll until `pred` holds or `limit` passes (sanitizer builds are slow).
+bool within(std::chrono::milliseconds limit,
+            const std::function<bool()>& pred) {
+  const Clock::time_point end = Clock::now() + limit;
+  while (Clock::now() < end) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(5ms);
+  }
+  return pred();
+}
+
+/// A pass-through layer that reports the thread its per-group state is
+/// made on.
+class StateThreadProbe final : public Layer {
+ public:
+  explicit StateThreadProbe(std::promise<std::thread::id>& made_on)
+      : made_on_(made_on) {
+    info_.name = "PROBE";
+    info_.spec.name = "PROBE";
+    info_.spec.inherits = props::kAllProperties;
+  }
+  const LayerInfo& info() const override { return info_; }
+  std::unique_ptr<LayerState> make_state(Group& g) override {
+    made_on_.set_value(std::this_thread::get_id());
+    return Layer::make_state(g);
+  }
+
+ private:
+  LayerInfo info_;
+  std::promise<std::thread::id>& made_on_;
+};
 
 TEST(NodeLoop, StartsExactlyOneThread) {
   AddressBook book = one_node_book();
@@ -129,6 +163,109 @@ TEST(NodeLoop, PostsRunBeforeDatagramsThatArriveWithThem) {
   peer.send_to(node.udp().local_port(), Bytes(64, 0x22));
   ASSERT_TRUE(eventually([&] { return ran.load() && s.rx_datagrams == 1; }));
   EXPECT_EQ(rx_seen.load(), 0u) << "the datagram was read before the post";
+}
+
+TEST(NodeLoop, JoinBuildsTheGroupOnTheLoopThread) {
+  AddressBook book = one_node_book();
+  NodeRuntime node(book, Address{1});
+  std::promise<std::thread::id> made_on;
+  Stack& probed = on_loop(node, [&]() -> Stack& {
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<StateThreadProbe>(made_on));
+    for (auto& l : layers::make_stack("COM")) layers.push_back(std::move(l));
+    return node.endpoint().add_stack(std::move(layers),
+                                     node.endpoint().network_properties());
+  });
+  const std::thread::id loop_id =
+      on_loop(node, [] { return std::this_thread::get_id(); });
+  node.endpoint().join_on(probed, GroupId{9});
+  std::future<std::thread::id> got = made_on.get_future();
+  ASSERT_EQ(got.wait_for(2s), std::future_status::ready);
+  const std::thread::id built_on = got.get();
+  node.shutdown();
+  EXPECT_EQ(built_on, loop_id) << "the layer state was made on the caller";
+  EXPECT_NE(built_on, std::this_thread::get_id());
+}
+
+TEST(NodeLoop, ThreadsThatJoinCastAndLeaveConcurrentlyKeepPerSenderFifo) {
+  // Three application threads share one node: each joins its own group
+  // through the other node, casts, waits for its casts to land and leaves,
+  // all at once. Nothing but the executor's inbox stands between them and
+  // the loop; TSan runs this test to guard that.
+  constexpr int kThreads = 3;
+  constexpr int kCasts = 200;
+  const std::vector<std::uint16_t> ports = free_ports(2);
+  AddressBook book = AddressBook::parse(loopback_entry(1, ports[0]) +
+                                        loopback_entry(2, ports[1]));
+  NodeRuntime shared(book, Address{1});
+  NodeRuntime peer(book, Address{2});
+  auto gid_of = [](int t) {
+    return GroupId{static_cast<std::uint64_t>(300 + t)};
+  };
+
+  std::mutex mu;
+  std::map<std::uint64_t, std::size_t> view_size;     // shared's, per group
+  std::map<std::uint64_t, std::vector<int>> at_peer;  // per group, in order
+  std::map<std::uint64_t, std::vector<int>> at_self;
+  auto record = [&mu](std::map<std::uint64_t, std::vector<int>>& into,
+                      Group& g, UpEvent& ev) {
+    if (ev.type != UpType::kCast) return;
+    std::lock_guard lock(mu);
+    into[g.gid().id].push_back(std::stoi(ev.msg.payload_string()));
+  };
+  peer.endpoint().on_upcall(
+      [&](Group& g, UpEvent& ev) { record(at_peer, g, ev); });
+  shared.endpoint().on_upcall([&](Group& g, UpEvent& ev) {
+    if (ev.type == UpType::kView) {
+      std::lock_guard lock(mu);
+      view_size[g.gid().id] = ev.view.size();
+    }
+    record(at_self, g, ev);
+  });
+  for (int t = 0; t < kThreads; ++t) peer.endpoint().join(gid_of(t));
+
+  auto delivered = [&](std::map<std::uint64_t, std::vector<int>>& at,
+                       GroupId gid) {
+    std::lock_guard lock(mu);
+    return at[gid.id].size();
+  };
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const GroupId gid = gid_of(t);
+      Endpoint& ep = shared.endpoint();
+      ep.join(gid, Address{2});
+      if (!within(10s, [&] {
+            std::lock_guard lock(mu);
+            return view_size[gid.id] == 2;
+          })) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kCasts; ++i) {
+        ep.cast(gid, Message::from_string(std::to_string(i)));
+      }
+      if (!within(10s, [&] {
+            return delivered(at_peer, gid) == kCasts &&
+                   delivered(at_self, gid) == kCasts;
+          })) {
+        failures.fetch_add(1);
+      }
+      ep.leave(gid);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  shared.shutdown();
+  peer.shutdown();
+  ASSERT_EQ(failures.load(), 0) << "a view never formed or a cast was lost";
+  std::vector<int> in_order(kCasts);
+  for (int i = 0; i < kCasts; ++i) in_order[static_cast<std::size_t>(i)] = i;
+  std::lock_guard lock(mu);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(at_peer[gid_of(t).id], in_order) << "group " << gid_of(t).id;
+    EXPECT_EQ(at_self[gid_of(t).id], in_order) << "group " << gid_of(t).id;
+  }
 }
 
 TEST(NodeLoop, CastsFromOtherThreadsKeepPerGroupFifo) {

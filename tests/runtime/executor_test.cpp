@@ -113,21 +113,6 @@ TEST(GroupExecutor, DispatchOrderIsGlobalPostOrder) {
   EXPECT_EQ(ex.pending(), 0u);
 }
 
-TEST(GroupExecutor, BatchIsOneDispatch) {
-  // A batch runs back to back as one dispatch decision, so packing does
-  // not change the dispatch trace's length.
-  GroupExecutor ex;
-  std::vector<int> order;
-  ex.post(4, [&] {
-    std::vector<Task> batch;
-    for (int i = 0; i < 3; ++i) batch.push_back([&order, i] { order.push_back(i); });
-    ex.post_batch(6, std::move(batch));
-    ex.post(5, [&] { order.push_back(9); });
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
-  EXPECT_EQ(ex.executed(), 3u);
-}
-
 // The inbox: how a node loop takes posts from other threads. Each "loop"
 // below is a fresh thread, so no test thread is ever marked as one.
 TEST(GroupExecutor, InboxHandsOtherThreadsPostsToTheLoopInOrder) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 namespace horus::sim {
@@ -107,6 +108,71 @@ TEST(Scheduler, PendingCountsCancellations) {
   EXPECT_FALSE(s.empty());
   s.run();
   EXPECT_TRUE(s.empty());
+}
+
+TEST(Scheduler, CancellingAFiredIdLeavesTheCountsExact) {
+  Scheduler s;
+  TimerId fired = s.schedule(1, [] {});
+  s.run();
+  s.cancel(fired);  // a stale id: no effect on what comes next
+  s.schedule(1, [] {});
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.next_due(), std::optional<Time>(s.now() + 1));
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(Scheduler, AStaleIdNeverCancelsTheEventThatReusedItsSlot) {
+  Scheduler s;
+  TimerId first = s.schedule(1, [] {});
+  s.cancel(first);
+  int ran = 0;
+  TimerId second = s.schedule(1, [&] { ++ran; });
+  EXPECT_NE(first, second);
+  s.cancel(first);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(Scheduler, CancelInTheMiddleKeepsTheRestInOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 50; ++i) {
+    ids.push_back(s.schedule(static_cast<Duration>((i * 37) % 11),
+                             [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 50; i += 3) s.cancel(ids[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(s.pending(), 50u - 17u);
+  s.run();
+  std::vector<int> want;
+  for (Duration d = 0; d < 11; ++d) {
+    for (int i = 0; i < 50; ++i) {
+      if (i % 3 != 0 && static_cast<Duration>((i * 37) % 11) == d) {
+        want.push_back(i);
+      }
+    }
+  }
+  EXPECT_EQ(order, want);
+}
+
+TEST(Scheduler, ArmFireCancelCyclesLeaveNothingBehind) {
+  // A protocol timer that is re-armed each round and cancelled after it
+  // fired (NAK's and TOTAL's pattern). A million rounds must leave the
+  // counts exact; a cancel that remembered stale ids would underflow them.
+  Scheduler s;
+  int fired = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    TimerId id = s.schedule(1, [&fired] { ++fired; });
+    s.run();
+    s.cancel(id);
+  }
+  EXPECT_EQ(fired, 1'000'000);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.next_due().has_value());
 }
 
 TEST(Scheduler, ManyEventsStaySorted) {
