@@ -51,7 +51,7 @@ enum class Origin : std::uint8_t {
   kPost,       ///< generic Executor::post
   kDowncall,   ///< application downcall descending the stack
   kDatagram,   ///< datagram delivery routed by the endpoint demux
-  kTimer,      ///< Scheduler timer fire re-posted into the group
+  kTimer,      ///< Stack::schedule timer fire entering the group's task
   kReconfig,   ///< live-reconfiguration switch task
 };
 

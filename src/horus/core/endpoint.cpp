@@ -2,6 +2,12 @@
 
 #include <stdexcept>
 
+#include "horus/util/hotpath_stats.hpp"
+
+#ifdef HORUS_METRICS
+#include "horus/obs/flight_recorder.hpp"
+#endif
+
 namespace horus {
 
 Endpoint::Endpoint(Address addr, StackConfig cfg,
@@ -16,8 +22,7 @@ Endpoint::Endpoint(Address addr, StackConfig cfg,
       sched_(&sched),
       net_props_(network_properties) {
   stack_ = std::make_unique<Stack>(std::move(cfg), std::move(layers),
-                                   network_properties, transport, sched, *exec_,
-                                   *this);
+                                   network_properties, transport, sched, *this);
 }
 
 Endpoint::~Endpoint() = default;
@@ -61,38 +66,29 @@ Stack& Endpoint::add_stack(std::vector<std::unique_ptr<Layer>> layers,
                            props::PropertySet network_properties) {
   extra_stacks_.push_back(std::make_unique<Stack>(
       stack_->config(), std::move(layers), network_properties, *transport_,
-      *sched_, *exec_, *this));
+      *sched_, *this));
   return *extra_stacks_.back();
 }
 
 // Every application call below posts one task keyed by the group id, the
 // unit of mutual exclusion (Section 3); the task resolves the group when it
 // runs, so a downcall always enters the epoch that is current by then.
-template <class F>
-void Endpoint::post_to(GroupId gid, F act, Stack* create_on) {
-  HORUS_RACE_ORIGIN_SCOPE(race_origin, kDowncall);
-  exec_->post(gid.id, [this, gid, create_on, act = std::move(act)]() mutable {
-    if (create_on != nullptr) ensure_group(gid, *create_on);
-    if (Group* g = live_group(gid)) act(*g);
-  });
-}
-
 void Endpoint::downcall(GroupId gid, DownEvent ev) {
-  post_to(gid, [ev = std::move(ev)](Group& g) mutable {
+  post_to(gid, race::Origin::kDowncall, [ev = std::move(ev)](Group& g) mutable {
     g.stack().app_down(g, ev);
   });
 }
 
 void Endpoint::join_on(Stack& stack, GroupId gid, Address contact) {
   post_to(
-      gid,
+      gid, race::Origin::kDowncall,
       [contact](Group& g) {
         DownEvent ev;
         ev.type = DownType::kJoin;
         ev.contact = contact;
         g.stack().app_down(g, ev);
       },
-      &stack);
+      nullptr, &stack);
 }
 
 void Endpoint::join(GroupId gid, Address contact) {
@@ -101,14 +97,49 @@ void Endpoint::join(GroupId gid, Address contact) {
 
 void Endpoint::deliver_datagram(Address src,
                                 std::shared_ptr<const Bytes> datagram) {
-  if (datagram->size() < Stack::kGidPrefix) return;
-  std::uint64_t gid = 0;
+  const Bytes& d = *datagram;
+  if (d.size() < Stack::kGidPrefix) return;
+  GroupId gid{0};
   for (std::size_t i = 0; i < Stack::kGidPrefix; ++i) {
-    gid |= static_cast<std::uint64_t>((*datagram)[i]) << (8 * i);
+    gid.id |= static_cast<std::uint64_t>(d[i]) << (8 * i);
   }
-  Group* g = live_group(GroupId{gid});
-  if (g == nullptr) return;  // not a member: drop
-  g->stack().deliver_datagram(src, GroupId{gid}, std::move(datagram));
+  Group* g = live_group(gid);
+  if (g == nullptr) return;  // not a member: drop before posting
+  g->stack().stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
+  // The stamp routes the datagram to the epoch that framed it: a late one
+  // to that epoch's draining shadow chain; one whose epoch has retired is
+  // dropped and counted. A runt (no stamp) is dropped.
+  const int stamp = d.size() < Stack::kFramePrefix
+                        ? -1
+                        : d[Stack::kGidPrefix] | d[Stack::kGidPrefix + 1] << 8;
+  post_to(
+      gid, race::Origin::kDatagram,
+      [src, datagram = std::move(datagram)](Group& grp, Stack& s) mutable {
+#ifdef HORUS_METRICS
+        if (obs::enabled()) {
+          grp.flight_ring()->record(
+              obs::FrEvent::kDatagramRx,
+              static_cast<std::uint8_t>(s.layers().size() - 1),
+              static_cast<std::uint32_t>(datagram->size()),
+              static_cast<std::uint64_t>(s.now()), src.id);
+        }
+#endif
+        s.layers().back()->raw_receive(grp, src, std::move(datagram),
+                                       Stack::kFramePrefix);
+      },
+      [stamp](Group& grp) -> Group::Epoch* {
+        if (stamp < 0) return nullptr;
+        Group::Epoch* e =
+            grp.epoch_for_stamp(static_cast<std::uint16_t>(stamp));
+        if (e == nullptr) {
+          msg_path_stats().stale_epoch_drops.fetch_add(
+              1, std::memory_order_relaxed);
+        } else if (e->draining) {
+          msg_path_stats().shadow_datagrams.fetch_add(
+              1, std::memory_order_relaxed);
+        }
+        return e;
+      });
 }
 
 void Endpoint::cast(GroupId gid, Message msg) {
@@ -128,9 +159,10 @@ void Endpoint::cast_batch(GroupId gid, std::vector<Message> msgs) {
     ev.msg = std::move(m);
     evs.push_back(std::move(ev));
   }
-  post_to(gid, [evs = std::move(evs)](Group& g) mutable {
-    g.stack().app_down_batch(g, evs);
-  });
+  post_to(gid, race::Origin::kDowncall,
+          [evs = std::move(evs)](Group& g) mutable {
+            g.stack().app_down_batch(g, evs);
+          });
 }
 
 void Endpoint::send(GroupId gid, std::vector<Address> dests, Message msg) {
@@ -190,7 +222,7 @@ void Endpoint::leave(GroupId gid) {
 
 void Endpoint::install_view(GroupId gid, std::vector<Address> members) {
   post_to(
-      gid,
+      gid, race::Origin::kDowncall,
       [this, members = std::move(members)](Group& g) mutable {
         View v(ViewId{g.view().id().seq + 1, addr_}, std::move(members));
         g.set_view(v);
@@ -201,7 +233,7 @@ void Endpoint::install_view(GroupId gid, std::vector<Address> members) {
         // the group may belong to a branch, not the trunk.
         g.stack().app_down(g, ev);
       },
-      stack_.get());
+      nullptr, stack_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -296,14 +328,13 @@ void Endpoint::reconfigure(GroupId gid, const std::string& new_spec) {
     return;
   }
   // Membership-less stack: switch locally, as a group-serialized task.
-  HORUS_RACE_ORIGIN_SCOPE(race_origin, kReconfig);
-  exec_->post(gid.id, [this, gid, new_spec]() {
-    if (Group* grp = live_group(gid)) local_switch(*grp, new_spec);
-  });
+  post_to(gid, race::Origin::kReconfig,
+          [this, new_spec](Group& grp) { local_switch(grp, new_spec); });
 }
 
 void Endpoint::set_required(GroupId gid, props::PropertySet required) {
-  post_to(gid, [required](Group& g) { g.set_required(required); });
+  post_to(gid, race::Origin::kDowncall,
+          [required](Group& g) { g.set_required(required); });
 }
 
 bool Endpoint::validate_reconfig(Group& g, const std::string& spec) {
@@ -323,8 +354,8 @@ Stack* Endpoint::build_epoch_stack(const std::string& spec,
   std::unique_ptr<Stack> ns;
   try {
     ns = std::make_unique<Stack>(stack_->config(), layer_factory_(spec),
-                                 net_props_, *transport_, *sched_, *exec_,
-                                 *this, epoch);
+                                 net_props_, *transport_, *sched_, *this,
+                                 epoch);
   } catch (const std::exception&) {
     return nullptr;
   }
@@ -413,14 +444,23 @@ void Endpoint::local_switch(Group& g, const std::string& spec) {
 }
 
 void Endpoint::destroy() {
+  // Each group's own task tears it down: marked here, inside a task, the
+  // groups would be gone before their queued DESTROYs ran.
+  std::vector<GroupId> live;
   for (auto& [gid, g] : groups_) {
-    if (g->destroyed()) continue;
-    DownEvent ev;
-    ev.type = DownType::kDestroy;
-    downcall(gid, std::move(ev));
-    g->mark_destroyed();
+    if (!g->destroyed()) live.push_back(gid);
   }
-  crashed_ = true;
+  if (live.empty()) crashed_ = true;
+  for (GroupId gid : live) {
+    post_to(gid, race::Origin::kDowncall,
+            [this, last = gid == live.back()](Group& g) {
+              DownEvent ev;
+              ev.type = DownType::kDestroy;
+              g.stack().app_down(g, ev);
+              g.mark_destroyed();
+              if (last) crashed_ = true;
+            });
+  }
 }
 
 std::string Endpoint::dump(GroupId gid, const std::string& layer_name) {

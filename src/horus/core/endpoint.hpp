@@ -14,10 +14,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "horus/core/stack.hpp"
 #include "horus/properties/algebra.hpp"
+#include "horus/runtime/executor.hpp"
 
 namespace horus {
 
@@ -168,7 +170,9 @@ class Endpoint {
 
   // -- executor thread only --------------------------------------------------
 
-  /// Tear down the endpoint: leave all groups, emit DESTROY.
+  /// Tear down the endpoint: each live group's task sends DESTROY down its
+  /// stack and marks the group destroyed; the last one marks the endpoint
+  /// crashed. Safe inside a task too (an upcall handler, a node loop).
   void destroy();
 
   /// Table 1 focus/dump: textual state of one layer in one group.
@@ -179,24 +183,34 @@ class Endpoint {
   void crash() { crashed_ = true; }
   [[nodiscard]] bool crashed() const { return crashed_; }
 
-  /// Raw datagram entry (the transport's receive path): strips the
-  /// group-id framing prefix and routes to the stack that owns the group.
+  /// Raw datagram entry (the transport's receive path): reads the group-id
+  /// prefix, drops the datagram unless this endpoint is in that group, and
+  /// posts it to the group's task, which hands it to the bottom layer of
+  /// the stack epoch its stamp names.
   void deliver_datagram(Address src, std::shared_ptr<const Bytes> datagram);
 
   [[nodiscard]] Group* find_group(GroupId gid);
   Group& group(GroupId gid);
-  /// The group a task acts on: null if the endpoint crashed, or the group
-  /// is unknown or destroyed, in which case the task does nothing.
-  [[nodiscard]] Group* live_group(GroupId gid);
   void deliver_app_upcall(Group& g, UpEvent& ev);
 
  private:
+  // Stack::schedule enters its timers' tasks through post_to.
+  friend class Stack;
+
+  /// Null if the endpoint crashed, or the group is unknown or destroyed.
+  [[nodiscard]] Group* live_group(GroupId gid);
   Group& ensure_group(GroupId gid, Stack& on);
-  /// Post `act(Group&)` as a task of `gid`; it runs on the live group, if
-  /// any, after the task creates the group on `create_on` when one is
-  /// given. Defined (and only used) in endpoint.cpp.
-  template <class F>
-  void post_to(GroupId gid, F act, Stack* create_on = nullptr);
+  /// The one way into a group task (Section 3: the group object is the
+  /// monitor every event enters): post a task keyed by `gid`, tagged
+  /// `origin` for horus-race, that builds the group on `create_on` if one
+  /// is given. On a crashed endpoint, an unknown or destroyed group, or a
+  /// retired epoch the task does nothing. Otherwise `act(Group&)` runs on
+  /// the current epoch or, when `epoch(Group&)` picks the epoch the task
+  /// belongs to (a timer's stack, a datagram's stamp), `act(Group&, Stack&)`
+  /// runs on that epoch's stack, in a shadow scope if it is draining.
+  template <class F, class Pick = std::nullptr_t>
+  void post_to(GroupId gid, race::Origin origin, F act, Pick epoch = nullptr,
+               Stack* create_on = nullptr);
   void downcall(GroupId gid, DownEvent ev);
   /// Build a reconfiguration stack epoch (owned by the endpoint; epoch
   /// stacks stay allocated until endpoint destruction because timers and
@@ -221,5 +235,27 @@ class Endpoint {
   UpcallHandler handler_;
   bool crashed_ = false;
 };
+
+template <class F, class Pick>
+void Endpoint::post_to(GroupId gid, [[maybe_unused]] race::Origin origin,
+                       F act, Pick epoch, Stack* create_on) {
+#ifdef HORUS_CHECK_RACES
+  race::ScopedOrigin race_origin(origin);
+#endif
+  exec_->post(gid.id, [this, gid, create_on, act = std::move(act),
+                       epoch = std::move(epoch)]() mutable {
+    if (create_on != nullptr) ensure_group(gid, *create_on);
+    Group* g = live_group(gid);
+    if (g == nullptr) return;
+    if constexpr (std::is_null_pointer_v<Pick>) {
+      act(*g);
+    } else {
+      Group::Epoch* e = epoch(*g);
+      if (e == nullptr) return;
+      HORUS_RACE_SHADOW_SCOPE(race_shadow, e->draining ? e->stack : nullptr);
+      act(*g, *e->stack);
+    }
+  });
+}
 
 }  // namespace horus

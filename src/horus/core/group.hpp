@@ -112,29 +112,13 @@ class Group {
     return nullptr;
   }
 
+  /// The epoch driven by `s`; nullptr once it has retired (a timer armed
+  /// through a superseded stack then dies quietly).
   [[nodiscard]] Epoch* epoch_for(const Stack& s) {
     for (Epoch& e : epochs_) {
       if (e.stack == &s) return &e;
     }
     return nullptr;
-  }
-
-  /// Does this group still hold an epoch driven by `s`? Timers scheduled
-  /// through a superseded stack use this to die quietly after retirement.
-  [[nodiscard]] bool knows_stack(const Stack& s) const {
-    for (const Epoch& e : epochs_) {
-      if (e.stack == &s) return true;
-    }
-    return false;
-  }
-
-  /// Is `s` a draining shadow epoch here? Used by the timer path to open a
-  /// race::ShadowScope before running a superseded stack's callbacks.
-  [[nodiscard]] bool epoch_draining(const Stack& s) const {
-    for (const Epoch& e : epochs_) {
-      if (e.stack == &s) return e.draining;
-    }
-    return false;
   }
 
   /// Install `s` as the new current epoch. The old current epoch becomes a

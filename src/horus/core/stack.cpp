@@ -24,13 +24,11 @@ bool is_data(UpType t) { return t == UpType::kCast || t == UpType::kSend; }
 
 Stack::Stack(StackConfig cfg, std::vector<std::unique_ptr<Layer>> layers,
              props::PropertySet network_properties, Transport& transport,
-             sim::Scheduler& sched, runtime::Executor& exec, Endpoint& owner,
-             std::uint32_t epoch)
+             sim::Scheduler& sched, Endpoint& owner, std::uint32_t epoch)
     : cfg_(cfg),
       layers_(std::move(layers)),
       transport_(transport),
       sched_(sched),
-      exec_(exec),
       owner_(&owner),
       epoch_(epoch) {
   if (layers_.empty()) throw std::invalid_argument("empty protocol stack");
@@ -153,11 +151,10 @@ std::size_t Stack::region_bytes() const {
   return cfg_.codec == HeaderCodec::kCompact ? layout_.byte_size() : 0;
 }
 
-// Datagrams and timers enter through the executor, posting with the
-// group's key: the group object -- not the stack -- is the unit of mutual
-// exclusion (Section 3), and horus-race checks every task against it.
-// Downcalls are posted by the endpoint and enter here already inside the
-// group's task.
+// Every event -- downcall, datagram, timer -- enters through one
+// Endpoint::post_to task keyed by the group: the group object, not the
+// stack, is the unit of mutual exclusion (Section 3), and horus-race checks
+// every task against it. The entries below run inside that task.
 
 void Stack::app_down(Group& g, DownEvent& ev) {
   stats_.downcalls.fetch_add(1, std::memory_order_relaxed);
@@ -174,58 +171,6 @@ void Stack::app_down_batch(Group& g, std::span<DownEvent> evs) {
   msg_path_stats().batched_events.fetch_add(evs.size(),
                                             std::memory_order_relaxed);
   forward_down_batch(kAppSink, g, evs);
-}
-
-namespace {
-
-/// Route a datagram to the stack epoch its stamp names. Runs inside the
-/// group's serialized task: the epoch table is stable here. Stale stamps
-/// (epoch already retired) are dropped and counted; shadow traffic counts
-/// so tests can observe old-epoch stragglers draining correctly.
-void route_by_epoch(Group& g, Address src,
-                    const std::shared_ptr<const Bytes>& datagram) {
-  if (datagram->size() < Stack::kFramePrefix) return;  // runt
-  std::uint16_t stamp = static_cast<std::uint16_t>(
-      (*datagram)[Stack::kGidPrefix] |
-      (static_cast<std::uint16_t>((*datagram)[Stack::kGidPrefix + 1]) << 8));
-  Group::Epoch* e = g.epoch_for_stamp(stamp);
-  if (e == nullptr) {
-    msg_path_stats().stale_epoch_drops.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (e->draining) {
-    msg_path_stats().shadow_datagrams.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Straggler delivery is one of the sanctioned ways into a draining
-  // epoch's state; everything the shadow chain touches under this scope is
-  // legal, a retained pointer used anywhere else is not.
-  HORUS_RACE_SHADOW_SCOPE(race_shadow, e->draining ? e->stack : nullptr);
-  e->stack->receive_inline(g, src, datagram);
-}
-
-}  // namespace
-
-void Stack::deliver_datagram(Address src, GroupId gid,
-                             std::shared_ptr<const Bytes> datagram) {
-  stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
-  HORUS_RACE_ORIGIN_SCOPE(race_origin, kDatagram);
-  exec_.post(gid.id, [this, src, gid, datagram = std::move(datagram)]() {
-    if (Group* g = owner_->live_group(gid)) route_by_epoch(*g, src, datagram);
-  });
-}
-
-void Stack::receive_inline(Group& g, Address src,
-                           std::shared_ptr<const Bytes> datagram) {
-#ifdef HORUS_METRICS
-  if (obs::enabled()) {
-    g.flight_ring()->record(
-        obs::FrEvent::kDatagramRx,
-        static_cast<std::uint8_t>(layers_.size() - 1),
-        static_cast<std::uint32_t>(datagram->size()),
-        static_cast<std::uint64_t>(sched_.now()), src.id);
-  }
-#endif
-  layers_.back()->raw_receive(g, src, std::move(datagram), kFramePrefix);
 }
 
 void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
@@ -500,23 +445,16 @@ sim::TimerId Stack::schedule(GroupId gid, sim::Duration d,
   // Arming a timer for another group from inside a group task is flagged
   // at the source: when it fires it would mutate state the arming task
   // never owned, and catching it here names the culprit, not the victim.
-  HORUS_RACE_PROBE_TIMER(race::owner_key(&exec_, gid.id), gid.id,
+  HORUS_RACE_PROBE_TIMER(race::owner_key(&owner_->executor(), gid.id), gid.id,
                          "Stack::schedule");
-  return sched_.schedule(d, [this, gid, fn = std::move(fn)]() {
-    HORUS_RACE_ORIGIN_SCOPE(race_origin, kTimer);
-    exec_.post(gid.id, [this, gid, fn]() {
-      Group* g = owner_->live_group(gid);
-      if (g == nullptr) return;
-      // Timers armed by a retired epoch's layers die quietly: their state
-      // slots are gone. Draining shadows still tick (NAK repair keeps
-      // running while stragglers drain).
-      if (!g->knows_stack(*this)) return;
-      // A shadow's timer callbacks may touch its own draining state.
-      HORUS_RACE_SHADOW_SCOPE(
-          race_shadow,
-          g->epoch_draining(*this) ? static_cast<const void*>(this) : nullptr);
-      fn(*g);
-    });
+  // A fire runs once, so the callback moves into the group task. The task
+  // belongs to this stack's epoch: a retired epoch's timers die quietly
+  // (their state slots are gone), draining shadows still tick.
+  return sched_.schedule(d, [this, gid, fn = std::move(fn)]() mutable {
+    owner_->post_to(
+        gid, race::Origin::kTimer,
+        [fn = std::move(fn)](Group& g, Stack&) { fn(g); },
+        [this](Group& g) { return g.epoch_for(*this); });
   });
 }
 

@@ -23,7 +23,6 @@
 #include "horus/core/message.hpp"
 #include "horus/core/types.hpp"
 #include "horus/core/wirebuf.hpp"
-#include "horus/runtime/executor.hpp"
 #include "horus/sim/scheduler.hpp"
 #include "horus/util/crypto.hpp"
 
@@ -185,8 +184,7 @@ class Stack {
   /// live reconfiguration; construct-time stacks are epoch 0.
   Stack(StackConfig cfg, std::vector<std::unique_ptr<Layer>> layers,
         props::PropertySet network_properties, Transport& transport,
-        sim::Scheduler& sched, runtime::Executor& exec, Endpoint& owner,
-        std::uint32_t epoch = 0);
+        sim::Scheduler& sched, Endpoint& owner, std::uint32_t epoch = 0);
   Stack(const Stack&) = delete;
   Stack& operator=(const Stack&) = delete;
 
@@ -202,22 +200,12 @@ class Stack {
   /// forwarding (still inside the same task).
   void app_down_batch(Group& g, std::span<DownEvent> evs);
 
-  /// Raw datagram from the transport, already demultiplexed to a group by
-  /// the endpoint. The wire frame begins with a group-id prefix of
-  /// kGidPrefix bytes followed by a 2-byte stack-epoch stamp (together
-  /// kFramePrefix bytes); late arrivals stamped with a superseded epoch are
-  /// routed to that epoch's draining shadow chain instead of being
-  /// misparsed by the current layout. Enters the bottom via the executor.
+  /// Wire framing, read by the endpoint's demux: a datagram begins with a
+  /// group-id prefix of kGidPrefix bytes followed by a 2-byte stack-epoch
+  /// stamp (together kFramePrefix bytes), which routes late arrivals to
+  /// their epoch's draining shadow chain instead of the current layout.
   static constexpr std::size_t kGidPrefix = 8;
   static constexpr std::size_t kFramePrefix = kGidPrefix + 2;
-  void deliver_datagram(Address src, GroupId gid,
-                        std::shared_ptr<const Bytes> datagram);
-
-  /// Hand a datagram to this stack's bottom layer directly, without an
-  /// executor hop. Callers (the endpoint's stamp-aware demux) must already
-  /// be inside the group's serialized task.
-  void receive_inline(Group& g, Address src,
-                      std::shared_ptr<const Bytes> datagram);
 
   // -- sinks (called by the edge layers) -------------------------------------
 
@@ -266,8 +254,9 @@ class Stack {
 
   // -- services for layers ----------------------------------------------------
 
-  /// Schedule a callback bound to a group; it is skipped automatically if
-  /// the group is destroyed or the endpoint has crashed by then.
+  /// Schedule a callback bound to a group. When it fires it enters the
+  /// group's task through the endpoint, which skips it if the endpoint has
+  /// crashed, the group is destroyed or this stack's epoch has retired.
   sim::TimerId schedule(GroupId gid, sim::Duration d,
                         std::function<void(Group&)> fn);
   void cancel(sim::TimerId id);
@@ -321,6 +310,10 @@ class Stack {
                           std::span<DownEvent> evs);
 
  private:
+  // The endpoint's demux counts stats_.datagrams_received on the stack a
+  // datagram is addressed to.
+  friend class Endpoint;
+
   void compile_layout();
   void compile_skip_tables();
   void compute_headroom_budget();
@@ -333,7 +326,6 @@ class Stack {
   std::vector<std::unique_ptr<Layer>> layers_;  // [0] = top
   Transport& transport_;
   sim::Scheduler& sched_;
-  runtime::Executor& exec_;
   Endpoint* owner_;
   props::PropertySet provided_ = 0;
   BitLayout layout_;                  // compact codec layout

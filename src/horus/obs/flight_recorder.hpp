@@ -43,8 +43,8 @@ enum class FrEvent : std::uint8_t {
 inline constexpr std::uint8_t kFrNoLayer = 0xFF;
 
 /// Fixed-size per-group event ring, **single writer**: every recording
-/// site (Stack::forward_down/forward_up/receive_inline and the endpoint
-/// edges) runs inside its group's serialized execution context -- the same
+/// site (Stack::forward_down/forward_up and the endpoint's datagram task)
+/// runs inside its group's serialized execution context -- the same
 /// group-ownership discipline horus-race enforces -- so the slot cursor
 /// advances with a plain relaxed load+store instead of a fetch_add and the
 /// hot path performs no atomic RMW (on x86: no full fence). Fields stay

@@ -1,5 +1,7 @@
 // Endpoint lifecycle mechanics: group creation, destroy/crash semantics,
 // multiple concurrent groups, handler behaviour.
+#include <algorithm>
+
 #include "../common/test_util.hpp"
 
 namespace horus::testing {
@@ -54,6 +56,50 @@ TEST(Endpoint, DestroyStopsAllActivity) {
   EXPECT_EQ(w.sys.net().stats().sent, mid)
       << "destroyed endpoints are still transmitting";
   (void)events_before;
+}
+
+/// A top layer that records the type of every downcall entering the stack.
+class DownProbe final : public Layer {
+ public:
+  explicit DownProbe(std::vector<DownType>& seen) : seen_(seen) {
+    info_.name = "PROBE";
+    info_.spec.name = "PROBE";
+    info_.spec.inherits = props::kAllProperties;
+  }
+  const LayerInfo& info() const override { return info_; }
+  void down(Group& g, DownEvent& ev) override {
+    seen_.push_back(ev.type);
+    pass_down(g, ev);
+  }
+
+ private:
+  LayerInfo info_;
+  std::vector<DownType>& seen_;
+};
+
+// destroy() called inside a group task (here the VIEW upcall; on a node
+// loop, every call) must still send DESTROY down before the endpoint stops.
+TEST(Endpoint, DestroyFromAnUpcallSendsDestroyDown) {
+  std::vector<DownType> seen;
+  HorusSystem::Options opts = quiet();
+  opts.stack_factory = [&seen](const std::string& spec) {
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<DownProbe>(seen));
+    for (auto& l : layers::make_stack(spec)) layers.push_back(std::move(l));
+    return layers;
+  };
+  HorusSystem sys(opts);
+  Endpoint& ep = sys.create_endpoint("MBRSHIP:FRAG:NAK:COM");
+  ep.on_upcall([&ep](Group&, UpEvent& ev) {
+    if (ev.type == UpType::kView) ep.destroy();
+  });
+  ep.join(kGroup);
+  sys.run_for(sim::kSecond);
+  EXPECT_NE(std::find(seen.begin(), seen.end(), DownType::kDestroy),
+            seen.end())
+      << "DESTROY never reached the top layer";
+  EXPECT_TRUE(ep.crashed());
+  EXPECT_TRUE(ep.group(kGroup).destroyed());
 }
 
 TEST(Endpoint, CrashedEndpointIgnoresDowncalls) {

@@ -357,6 +357,7 @@ TEST(Reconfig, IntermediateShadowRetires) {
   ASSERT_EQ(w.eps[0]->group(kGroup).epoch_number(), 1u);
   // Epoch 0 never retires: both members still hold {0, 1}.
   EXPECT_EQ(w.eps[0]->group(kGroup).epoch_count(), 2u);
+  const std::uint16_t stamp1 = w.eps[0]->group(kGroup).stack().epoch_stamp();
 
   w.eps[0]->reconfigure(kGroup, kNakSpec);
   w.sys.run_for(3 * sim::kSecond);
@@ -365,6 +366,23 @@ TEST(Reconfig, IntermediateShadowRetires) {
   EXPECT_GT(stats.shadows_retired.load(), retired0);
   EXPECT_EQ(w.eps[0]->group(kGroup).epoch_count(), 2u);
   EXPECT_EQ(w.eps[1]->group(kGroup).epoch_count(), 2u);
+
+  // A straggler stamped with the retired epoch 1 is dropped and counted
+  // by the endpoint's stamp router; the application sees nothing of it.
+  Bytes frame(Stack::kFramePrefix + 16, 0xab);
+  for (std::size_t i = 0; i < Stack::kGidPrefix; ++i) {
+    frame[i] = static_cast<std::uint8_t>(kGroup.id >> (8 * i));
+  }
+  frame[Stack::kGidPrefix] = static_cast<std::uint8_t>(stamp1);
+  frame[Stack::kGidPrefix + 1] = static_cast<std::uint8_t>(stamp1 >> 8);
+  const std::uint64_t stale0 = stats.stale_epoch_drops.load();
+  const std::size_t casts0 = w.logs[1].casts.size();
+  const std::size_t views0 = w.logs[1].views.size();
+  w.eps[1]->deliver_datagram(w.eps[0]->address(),
+                             std::make_shared<const Bytes>(std::move(frame)));
+  EXPECT_EQ(stats.stale_epoch_drops.load(), stale0 + 1);
+  EXPECT_EQ(w.logs[1].casts.size(), casts0);
+  EXPECT_EQ(w.logs[1].views.size(), views0);
 
   cast_str(*w.eps[0], "healthy");
   w.sys.run_for(sim::kSecond);

@@ -157,6 +157,32 @@ TEST(StackStats, CountsTraffic) {
   EXPECT_GT(s.upcalls_to_app, 0u);  // at least the VIEW upcalls
 }
 
+// A timer fires once, so Stack::schedule hands the layer's callback on by
+// move from the scheduler event into the group task: no fire copies it.
+TEST(StackTimers, CallbackIsMovedNeverCopied) {
+  struct CountsCopies {
+    int* copies;
+    int* fired;
+    CountsCopies(int* c, int* f) : copies(c), fired(f) {}
+    CountsCopies(const CountsCopies& o) : copies(o.copies), fired(o.fired) {
+      ++*copies;
+    }
+    CountsCopies(CountsCopies&&) = default;
+    void operator()(Group&) const { ++*fired; }
+  };
+  World w(1, "MBRSHIP:FRAG:NAK:COM");
+  w.form_group();
+  int copies = 0;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) {
+    w.eps[0]->stack().schedule(kGroup, 10 * sim::kMillisecond,
+                               CountsCopies(&copies, &fired));
+  }
+  w.sys.run_for(50 * sim::kMillisecond);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(copies, 0) << "a timer fire copied the layer's callback";
+}
+
 TEST(StackDump, FocusAndDumpReportLayerState) {
   World w(2, "MBRSHIP:FRAG:NAK:COM");
   w.form_group();
