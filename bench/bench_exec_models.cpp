@@ -139,7 +139,6 @@ void ThreadPoolExecutor::enqueue(GroupKey /*key*/, Task t) {
 void ThreadPoolExecutor::drain() {
   std::unique_lock lock(mu_.native());
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  HORUS_RACE_ACQUIRE_ALL();
 }
 
 void ThreadPoolExecutor::worker() {

@@ -19,6 +19,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "fused.hpp"
 
 using namespace horus;
 using namespace horus::bench;
@@ -28,8 +29,9 @@ namespace {
 // One cast end-to-end (2 members) per iteration; all simulation work is
 // CPU, so per-iteration time is the full two-stack traversal + "network".
 void BM_Stack(benchmark::State& state, const std::string& spec,
-              std::size_t payload_size) {
-  Rig rig(spec);
+              std::size_t payload_size,
+              HorusSystem::Options opts = Rig::fast_net()) {
+  Rig rig(spec, 2, std::move(opts));
   Bytes payload(payload_size, 0x61);
   for (auto _ : state) {
     rig.cast_and_settle(payload);
@@ -75,8 +77,19 @@ const std::pair<const char*, const char*> kExtras[] = {
     {"SIGN:MBRSHIP:FRAG:NAK:COM", "+SIGN"},
     {"ENCRYPT:MBRSHIP:FRAG:NAK:COM", "+ENCRYPT"},
     {"COMPRESS:MBRSHIP:FRAG:NAK:COM", "+COMPRESS"},
-    {"FUSED:COM", "FUSED (hand-fused NAK+FRAG)"},
 };
+
+// FUSED is not in the layer registry (it exists only to be measured), so
+// its row puts it on top of whatever the registry builds below it.
+HorusSystem::Options fused_net() {
+  HorusSystem::Options o = Rig::fast_net();
+  o.stack_factory = [](const std::string& spec) {
+    auto below = layers::make_stack(spec.substr(spec.find(':') + 1));
+    below.insert(below.begin(), std::make_unique<layers::Fused>());
+    return below;
+  };
+  return o;
+}
 
 }  // namespace
 
@@ -99,6 +112,10 @@ int main(int argc, char** argv) {
         (std::string("extra/") + label).c_str(),
         [s](benchmark::State& st) { BM_Stack(st, s, 100); });
   }
+  benchmark::RegisterBenchmark(
+      "extra/FUSED (hand-fused NAK+FRAG)", [](benchmark::State& st) {
+        BM_Stack(st, "FUSED:COM", 100, fused_net());
+      });
   // Payload scaling on the full stack: does layering cost stay flat while
   // payload cost grows?
   for (std::size_t size : {10u, 1000u, 10'000u}) {

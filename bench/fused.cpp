@@ -1,4 +1,4 @@
-#include "horus/layers/fused.hpp"
+#include "fused.hpp"
 
 #include <algorithm>
 

@@ -9,7 +9,9 @@
 //
 // Scope: a benchmark baseline for static groups -- it does not implement
 // NAK's view-epoch machinery (membership layers sit above real NAK, not
-// above FUSED).
+// above FUSED). It is not in the layer registry, so no stack spec names
+// it: bench_layer_overhead builds FUSED:COM through
+// HorusSystem::Options::stack_factory.
 #pragma once
 
 #include <map>

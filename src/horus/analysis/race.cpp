@@ -1,10 +1,9 @@
 #include "horus/analysis/race.hpp"
 
-#include <algorithm>
 #include <array>
+#include <atomic>
 #include <mutex>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #if defined(__has_include)
@@ -18,96 +17,20 @@
 namespace horus::race {
 namespace {
 
-/// A task frame: the group the running task was posted under. owner == 0
-/// means the task was posted with kNoGroup (bound to no group); such tasks
-/// are checked like frameless code, via happens-before.
-struct Frame {
-  std::uint64_t owner = 0;
-  std::uint64_t gid = 0;
-  Origin origin = Origin::kPost;
-};
-
-/// Per-thread detector state. The vector clock is written only by its own
-/// thread, under mu_ so acquire_all() readers on other threads see a
-/// consistent snapshot; the owner may read its own clock lock-free.
-struct ThreadCtx {
-  std::uint32_t id = 0;
-  std::mutex mu;
-  std::vector<std::uint64_t> vc;
-  std::vector<Frame> frames;
-  const void* shadow = nullptr;
-  Origin pending = Origin::kPost;
-};
-
-struct Registry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadCtx>> threads;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry;  // leaked: outlives exiting threads
-  return *r;
-}
-
-ThreadCtx& self() {
-  thread_local std::shared_ptr<ThreadCtx> ctx = [] {
-    auto c = std::make_shared<ThreadCtx>();
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    c->id = static_cast<std::uint32_t>(r.threads.size());
-    c->vc.assign(c->id + 1, 0);
-    c->vc[c->id] = 1;
-    r.threads.push_back(c);
-    return c;
-  }();
-  return *ctx;
-}
-
-/// Top frame, or nullptr when the thread runs outside any group-bound task.
-Frame* active_frame(ThreadCtx& tc) {
-  if (tc.frames.empty()) return nullptr;
-  Frame& f = tc.frames.back();
-  return f.owner != 0 ? &f : nullptr;
-}
-
-/// Last recorded toucher of one ownership unit (a group, or one plain
-/// shared address): enough to decide happens-before against any later
-/// frameless access, and to name the other side in a report.
-struct AccessRec {
-  std::uint32_t thread = 0;
-  std::uint64_t clock = 0;
-  std::uint64_t gid = 0;
-  Origin origin = Origin::kNone;
-  bool valid = false;
-};
-
-constexpr std::size_t kBuckets = 64;
-
-struct RecMap {
-  std::array<std::mutex, kBuckets> mu;
-  std::array<std::unordered_map<std::uint64_t, AccessRec>, kBuckets> recs;
-
-  [[nodiscard]] std::size_t bucket(std::uint64_t key) const {
-    // Pointer-ish keys: fold the high bits in before taking the low ones.
-    return static_cast<std::size_t>((key ^ (key >> 17)) % kBuckets);
-  }
-  void clear() {
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      std::lock_guard lock(mu[i]);
-      recs[i].clear();
-    }
-  }
-};
+/// The calling thread's running task. owner == 0 means no task is running
+/// here (the application or driver thread): nothing to compare against.
+thread_local std::uint64_t t_owner = 0;
+thread_local std::uint64_t t_gid = 0;
+thread_local Origin t_origin = Origin::kNone;
+/// The stack whose draining state the innermost ShadowScope sanctions.
+thread_local const void* t_shadow = nullptr;
 
 struct Detector {
   std::atomic<std::uint64_t> cross_group{0};
   std::atomic<std::uint64_t> wrong_group_timer{0};
   std::atomic<std::uint64_t> stale_epoch{0};
-  std::atomic<std::uint64_t> unsynced_write{0};
   std::mutex report_mu;
   std::vector<Report> log;
-  RecMap group_recs;  ///< keyed by ownership token
-  RecMap write_recs;  ///< keyed by address
 };
 
 Detector& det() {
@@ -145,24 +68,18 @@ std::atomic<std::uint64_t>& counter_for(Detector& d, Kind k) {
     case Kind::kCrossGroup: return d.cross_group;
     case Kind::kWrongGroupTimer: return d.wrong_group_timer;
     case Kind::kStaleEpoch: return d.stale_epoch;
-    case Kind::kUnsyncedWrite: return d.unsynced_write;
   }
   return d.cross_group;
 }
 
-void record_violation(Kind kind, std::uint64_t owner_gid,
-                      const AccessRec& owner_rec, ThreadCtx& me,
-                      const Frame* frame, const char* what) {
+void record_violation(Kind kind, std::uint64_t owner_gid, const char* what) {
   Detector& d = det();
   counter_for(d, kind).fetch_add(1, std::memory_order_relaxed);
   Report r;
   r.kind = kind;
   r.owner_gid = owner_gid;
-  r.owner_origin = owner_rec.valid ? owner_rec.origin : Origin::kNone;
-  r.owner_thread = owner_rec.valid ? owner_rec.thread : 0;
-  r.accessor_gid = frame != nullptr ? frame->gid : Report::kNoAccessorGroup;
-  r.accessor_origin = frame != nullptr ? frame->origin : Origin::kNone;
-  r.accessor_thread = me.id;
+  r.accessor_gid = t_owner != 0 ? t_gid : Report::kNoAccessorGroup;
+  r.accessor_origin = t_origin;
   r.what = what;
   r.trace = capture_trace();
   {
@@ -187,46 +104,12 @@ void record_violation(Kind kind, std::uint64_t owner_gid,
   }
 }
 
-/// Did the recorded access happen-before the calling thread's present?
-/// The caller's own clock is only ever written by itself, so this read
-/// needs no lock.
-bool ordered_before(const ThreadCtx& me, const AccessRec& rec) {
-  if (!rec.valid || rec.thread == me.id) return true;
-  return rec.thread < me.vc.size() && me.vc[rec.thread] >= rec.clock;
-}
-
-void note_access(ThreadCtx& me, AccessRec& rec, std::uint64_t gid,
-                 Origin origin) {
-  rec.thread = me.id;
-  rec.clock = me.vc[me.id];
-  rec.gid = gid;
-  rec.origin = origin;
-  rec.valid = true;
-}
-
-/// Shared core of the group / epoch-state probes once the shadow rule has
-/// been applied: in-frame accesses must match the owner token exactly;
-/// frameless accesses must be happens-after the last recorded toucher.
+/// In a task, the state's owner must be the task's own group.
 void check_ownership(std::uint64_t owner, std::uint64_t gid,
                      const char* what) {
-  ThreadCtx& me = self();
-  Frame* f = active_frame(me);
-  Detector& d = det();
-  std::size_t b = d.group_recs.bucket(owner);
-  std::lock_guard lock(d.group_recs.mu[b]);
-  AccessRec& rec = d.group_recs.recs[b][owner];
-  if (f != nullptr) {
-    if (f->owner != owner) {
-      record_violation(Kind::kCrossGroup, gid, rec, me, f, what);
-      return;  // leave the record naming the legal owner
-    }
-    note_access(me, rec, gid, f->origin);
-    return;
+  if (t_owner != 0 && t_owner != owner) {
+    record_violation(Kind::kCrossGroup, gid, what);
   }
-  if (!ordered_before(me, rec)) {
-    record_violation(Kind::kCrossGroup, gid, rec, me, nullptr, what);
-  }
-  note_access(me, rec, gid, Origin::kNone);
 }
 
 }  // namespace
@@ -234,7 +117,6 @@ void check_ownership(std::uint64_t owner, std::uint64_t gid,
 const char* to_string(Origin o) {
   switch (o) {
     case Origin::kNone: return "app/driver thread";
-    case Origin::kPost: return "post";
     case Origin::kDowncall: return "downcall";
     case Origin::kDatagram: return "datagram";
     case Origin::kTimer: return "timer";
@@ -248,7 +130,6 @@ const char* to_string(Kind k) {
     case Kind::kCrossGroup: return "cross-group access";
     case Kind::kWrongGroupTimer: return "timer armed for wrong group";
     case Kind::kStaleEpoch: return "stale-epoch state access";
-    case Kind::kUnsyncedWrite: return "unsynchronized shared write";
   }
   return "?";
 }
@@ -256,19 +137,13 @@ const char* to_string(Kind k) {
 std::string Report::to_string() const {
   std::ostringstream os;
   os << "horus-race: " << race::to_string(kind) << " at " << what << "\n";
-  os << "  owning group: " << owner_gid;
-  if (owner_origin != Origin::kNone || owner_thread != 0) {
-    os << " (last touched by " << race::to_string(owner_origin)
-       << " on thread " << owner_thread << ")";
-  }
-  os << "\n  accessed from: ";
+  os << "  owning group: " << owner_gid << "\n  accessed from: ";
   if (accessor_gid == kNoAccessorGroup) {
     os << "outside any group task";
   } else {
     os << "task of group " << accessor_gid;
   }
-  os << " (" << race::to_string(accessor_origin) << " on thread "
-     << accessor_thread << ")\n";
+  os << " (" << race::to_string(accessor_origin) << ")\n";
   if (!trace.empty()) {
     os << "  stack:\n";
     for (const std::string& fr : trace) os << "    " << fr << "\n";
@@ -290,7 +165,6 @@ CounterSnapshot counters() {
   s.cross_group = d.cross_group.load(std::memory_order_relaxed);
   s.wrong_group_timer = d.wrong_group_timer.load(std::memory_order_relaxed);
   s.stale_epoch = d.stale_epoch.load(std::memory_order_relaxed);
-  s.unsynced_write = d.unsynced_write.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -307,8 +181,7 @@ std::string summary() {
   std::ostringstream os;
   os << "horus-race: " << s.total() << " violation(s)"
      << " (cross-group " << s.cross_group << ", wrong-group timer "
-     << s.wrong_group_timer << ", stale-epoch " << s.stale_epoch
-     << ", unsynced write " << s.unsynced_write << ")\n";
+     << s.wrong_group_timer << ", stale-epoch " << s.stale_epoch << ")\n";
   for (const Report& r : reports()) os << r.to_string();
   return os.str();
 }
@@ -318,13 +191,8 @@ void reset() {
   d.cross_group.store(0, std::memory_order_relaxed);
   d.wrong_group_timer.store(0, std::memory_order_relaxed);
   d.stale_epoch.store(0, std::memory_order_relaxed);
-  d.unsynced_write.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(d.report_mu);
-    d.log.clear();
-  }
-  d.group_recs.clear();
-  d.write_recs.clear();
+  std::lock_guard lock(d.report_mu);
+  d.log.clear();
 }
 
 void set_violation_hook(ViolationHook hook) {
@@ -346,25 +214,6 @@ std::uint64_t owner_key(const void* exec, std::uint64_t key) {
   return x | 1;
 }
 
-std::function<void()> wrap_task(const void* exec, std::uint64_t key,
-                                std::function<void()> t) {
-  ThreadCtx& me = self();
-  Origin origin = me.pending;
-  ClockSnapshot snap = capture();
-  std::uint64_t owner = key == 0 ? 0 : owner_key(exec, key);
-  return [owner, key, origin, snap = std::move(snap),
-          t = std::move(t)]() {
-    acquire(snap);
-    ThreadCtx& tc = self();
-    tc.frames.push_back(Frame{owner, key, origin});
-    struct Pop {
-      ThreadCtx& tc;
-      ~Pop() { tc.frames.pop_back(); }
-    } pop{tc};
-    t();
-  };
-}
-
 void OwnershipGuard::group(std::uint64_t owner, std::uint64_t gid,
                            const char* what) {
   if (owner == 0) return;  // bare Group outside any endpoint: unchecked
@@ -375,110 +224,41 @@ void OwnershipGuard::epoch_state(std::uint64_t owner, std::uint64_t gid,
                                  const void* stack, bool draining,
                                  const char* what) {
   if (owner == 0) return;
-  if (draining) {
-    ThreadCtx& me = self();
-    if (me.shadow != stack) {
-      // A superseded epoch's state outside the sanctioned drain paths --
-      // even the owning group's own task must not hold on to it.
-      Detector& d = det();
-      std::size_t b = d.group_recs.bucket(owner);
-      std::lock_guard lock(d.group_recs.mu[b]);
-      record_violation(Kind::kStaleEpoch, gid, d.group_recs.recs[b][owner],
-                       me, active_frame(me), what);
-      return;
-    }
+  if (draining && t_shadow != stack) {
+    // A superseded epoch's state outside the sanctioned drain paths --
+    // even the owning group's own task must not hold on to it.
+    record_violation(Kind::kStaleEpoch, gid, what);
+    return;
   }
   check_ownership(owner, gid, what);
 }
 
 void OwnershipGuard::timer(std::uint64_t timer_owner, std::uint64_t timer_gid,
                            const char* what) {
-  ThreadCtx& me = self();
-  Frame* f = active_frame(me);
   // Application and driver threads arm timers freely (join-time protocol
   // setup); inside a group task the armed key must be the task's own group.
-  if (f == nullptr || f->owner == timer_owner) return;
-  Detector& d = det();
-  std::size_t b = d.group_recs.bucket(timer_owner);
-  std::lock_guard lock(d.group_recs.mu[b]);
-  record_violation(Kind::kWrongGroupTimer, timer_gid,
-                   d.group_recs.recs[b][timer_owner], me, f, what);
-}
-
-void OwnershipGuard::plain_write(const void* addr, const char* what) {
-  ThreadCtx& me = self();
-  auto key = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(addr));
-  Detector& d = det();
-  std::size_t b = d.write_recs.bucket(key);
-  std::lock_guard lock(d.write_recs.mu[b]);
-  AccessRec& rec = d.write_recs.recs[b][key];
-  if (!ordered_before(me, rec)) {
-    Frame* f = active_frame(me);
-    record_violation(Kind::kUnsyncedWrite,
-                     rec.valid ? rec.gid : 0, rec, me, f, what);
-  }
-  Frame* f = active_frame(me);
-  note_access(me, rec, f != nullptr ? f->gid : 0,
-              f != nullptr ? f->origin : Origin::kNone);
-}
-
-ShadowScope::ShadowScope(const void* stack) {
-  ThreadCtx& me = self();
-  prev_ = me.shadow;
-  if (stack != nullptr) me.shadow = stack;
-}
-
-ShadowScope::~ShadowScope() { self().shadow = prev_; }
-
-ScopedOrigin::ScopedOrigin(Origin o) {
-  ThreadCtx& me = self();
-  prev_ = me.pending;
-  me.pending = o;
-}
-
-ScopedOrigin::~ScopedOrigin() { self().pending = prev_; }
-
-ClockSnapshot capture() {
-  ThreadCtx& me = self();
-  std::lock_guard lock(me.mu);
-  auto snap = std::make_shared<std::vector<std::uint64_t>>(me.vc);
-  // Advance past the snapshot so a later unsynchronized access on this
-  // thread is not mistaken for one the receiver already ordered after.
-  ++me.vc[me.id];
-  return snap;
-}
-
-void acquire(const ClockSnapshot& snap) {
-  if (snap == nullptr) return;
-  ThreadCtx& me = self();
-  std::lock_guard lock(me.mu);
-  if (me.vc.size() < snap->size()) me.vc.resize(snap->size(), 0);
-  for (std::size_t i = 0; i < snap->size(); ++i) {
-    me.vc[i] = std::max(me.vc[i], (*snap)[i]);
+  if (t_owner != 0 && t_owner != timer_owner) {
+    record_violation(Kind::kWrongGroupTimer, timer_gid, what);
   }
 }
 
-void acquire_all() {
-  std::vector<std::shared_ptr<ThreadCtx>> all;
-  {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    all = r.threads;
-  }
-  ThreadCtx& me = self();
-  for (const auto& t : all) {
-    if (t->id == me.id) continue;
-    std::vector<std::uint64_t> copy;
-    {
-      std::lock_guard lock(t->mu);
-      copy = t->vc;
-    }
-    std::lock_guard lock(me.mu);
-    if (me.vc.size() < copy.size()) me.vc.resize(copy.size(), 0);
-    for (std::size_t i = 0; i < copy.size(); ++i) {
-      me.vc[i] = std::max(me.vc[i], copy[i]);
-    }
-  }
+GroupFrame::GroupFrame(const void* exec, std::uint64_t gid, Origin origin)
+    : prev_owner_(t_owner), prev_gid_(t_gid), prev_origin_(t_origin) {
+  t_owner = owner_key(exec, gid);
+  t_gid = gid;
+  t_origin = origin;
 }
+
+GroupFrame::~GroupFrame() {
+  t_owner = prev_owner_;
+  t_gid = prev_gid_;
+  t_origin = prev_origin_;
+}
+
+ShadowScope::ShadowScope(const void* stack) : prev_(t_shadow) {
+  t_shadow = stack;
+}
+
+ShadowScope::~ShadowScope() { t_shadow = prev_; }
 
 }  // namespace horus::race

@@ -1,54 +1,48 @@
-// horus-race: dynamic ownership / happens-before checking for the
-// group-execution model.
+// horus-race: dynamic group-ownership checking for the group-execution
+// model.
 //
-// The group-execution model stays lock-free inside layers only because of the
-// discipline documented in docs/runtime.md: a group's protocol state (the
-// Group object, its view, its epoch table, its per-layer state slots) is
-// touched exclusively by tasks serialized on that group's executor key.
-// Nothing in a plain build *verifies* that discipline -- a layer that
-// stashes a pointer to another group's state, or arms a timer with the
-// wrong group key, races silently and only TSan on a lucky interleaving
-// would notice. horus-race makes the boundary machine-checked:
+// A node runs every group task on one owner thread, and every task enters
+// through Endpoint::post_to (docs/runtime.md). That rules out data races
+// between tasks, but not the logical ones the paper's monitor discipline
+// forbids: a group's protocol state (the Group object, its view, its epoch
+// table, its per-layer state slots) belongs to that group's tasks alone.
+// A layer that stashes a pointer to another group's state, or arms a timer
+// with the wrong group key, runs on the right thread and breaks the
+// discipline silently. horus-race makes the boundary machine-checked:
 //
-//  * every executor task runs inside a thread_local *group frame* naming
-//    the group it was posted under and the origin of the post (downcall,
-//    datagram, timer, reconfig);
+//  * Endpoint::post_to opens a *group frame* inside each task it posts,
+//    naming the task's group and origin (downcall, datagram, timer,
+//    reconfig);
 //  * Group / Stack / layer-state accessors carry cheap OwnershipGuard
-//    probes asserting the active frame owns the state's group;
-//  * code running outside any frame (the application thread, the
-//    simulation driver) is checked with vector clocks: Executor::post,
-//    Executor::drain and Scheduler timer fires publish happens-before
-//    edges, so state initialized before a legal handoff -- or read after a
-//    drain -- is recognized instead of flagged;
+//    probes comparing the active frame with the state's owner token;
 //  * draining shadow epochs are legal only inside a ShadowScope, which the
-//    runtime opens on the sanctioned paths (stamp-routed straggler
-//    delivery, shadow timer ticks, export_state/import_state transfer);
-//    a retained pointer into a superseded epoch used anywhere else is a
-//    stale-epoch violation even from the owning group's own task.
+//    runtime opens on the sanctioned paths (each task for the epoch it
+//    runs on, and the export_state/import_state transfer); a retained
+//    pointer into a superseded epoch used anywhere else is a stale-epoch
+//    violation even from the owning group's own task.
+//
+// Accesses from outside any frame (the application or driver thread) are
+// not ownership-checked: which thread touches what is TSan's job.
 //
 // Violations are recorded, never thrown: atomic counters plus a capped
-// structured report log (owning group, accessing group, both origins, a
-// captured stack trace) -- the same reporting shape as the HCPI
-// ContractMonitor. Everything is compiled in under -DHORUS_CHECK_RACES
-// (defaulted on in Debug builds); without the flag every probe macro
-// expands to nothing and the hot path is byte-identical to an
-// uninstrumented build.
+// structured report log (owning group, accessing group, origin, a captured
+// stack trace) -- the same reporting shape as the HCPI ContractMonitor.
+// Everything is compiled in under -DHORUS_CHECK_RACES (defaulted on in
+// Debug builds); without the flag every probe macro expands to nothing and
+// the hot path is byte-identical to an uninstrumented build.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace horus::race {
 
-/// Where a task (or frameless access) came from. Reports name both sides'
-/// origins so "a timer of group 9 wrote group 7's state" reads directly.
+/// Where the running task came from. Reports name the accessor's origin so
+/// "a timer of group 9 wrote group 7's state" reads directly.
 enum class Origin : std::uint8_t {
   kNone = 0,   ///< no frame: application or driver thread
-  kPost,       ///< generic Executor::post
   kDowncall,   ///< application downcall descending the stack
   kDatagram,   ///< datagram delivery routed by the endpoint demux
   kTimer,      ///< Stack::schedule timer fire entering the group's task
@@ -62,22 +56,18 @@ enum class Kind : std::uint8_t {
   kCrossGroup = 0,   ///< frame of group A touched group B's state
   kWrongGroupTimer,  ///< timer armed with a key != the arming frame's group
   kStaleEpoch,       ///< draining-epoch state touched outside a ShadowScope
-  kUnsyncedWrite,    ///< plain (non-atomic) shared write without HB ordering
 };
 
 [[nodiscard]] const char* to_string(Kind k);
 
 /// One recorded violation. `owner_gid` is the group whose state was
-/// touched; `accessor_gid` is the active frame's group (or ~0 when the
-/// access came from outside any frame).
+/// touched; `accessor_gid` is the active frame's group (or kNoAccessorGroup
+/// when the access came from outside any frame).
 struct Report {
   Kind kind = Kind::kCrossGroup;
   std::uint64_t owner_gid = 0;
   std::uint64_t accessor_gid = kNoAccessorGroup;
-  Origin owner_origin = Origin::kNone;    ///< origin of the last legal toucher
   Origin accessor_origin = Origin::kNone;
-  std::uint32_t owner_thread = 0;   ///< detector thread index of last toucher
-  std::uint32_t accessor_thread = 0;
   std::string what;                 ///< probe site, e.g. "Group::view"
   std::vector<std::string> trace;   ///< symbolized frames at the access
 
@@ -89,9 +79,8 @@ struct CounterSnapshot {
   std::uint64_t cross_group = 0;
   std::uint64_t wrong_group_timer = 0;
   std::uint64_t stale_epoch = 0;
-  std::uint64_t unsynced_write = 0;
   [[nodiscard]] std::uint64_t total() const {
-    return cross_group + wrong_group_timer + stale_epoch + unsynced_write;
+    return cross_group + wrong_group_timer + stale_epoch;
   }
 };
 
@@ -106,8 +95,7 @@ struct CounterSnapshot {
 [[nodiscard]] std::vector<Report> reports();
 /// Human-readable roll-up: counters plus every retained report.
 [[nodiscard]] std::string summary();
-/// Drop all violation state and ownership records (not the thread clocks);
-/// tests call this between scenarios.
+/// Drop all violation state; tests call this between scenarios.
 void reset();
 
 /// Install a callback invoked for each *retained* violation report (at
@@ -129,13 +117,6 @@ inline constexpr std::size_t kMaxReports = 32;
 /// not alias.
 [[nodiscard]] std::uint64_t owner_key(const void* exec, std::uint64_t key);
 
-/// Wrap an executor task so it runs inside a group frame for `key` on
-/// executor `exec`, carrying the poster's clock snapshot and pending
-/// origin. Executors call this from post() under the flag.
-[[nodiscard]] std::function<void()> wrap_task(const void* exec,
-                                              std::uint64_t key,
-                                              std::function<void()> t);
-
 /// The probe surface. Free functions grouped under one name so call sites
 /// read as what they are: ownership assertions, not bookkeeping.
 struct OwnershipGuard {
@@ -152,14 +133,28 @@ struct OwnershipGuard {
   /// active: flagged at the source, before it ever fires.
   static void timer(std::uint64_t timer_owner, std::uint64_t timer_gid,
                     const char* what);
-  /// Plain (non-atomic) write to shared state at `addr`: flagged when the
-  /// previous write came from another thread with no happens-before edge.
-  static void plain_write(const void* addr, const char* what);
 };
 
-/// Marks the sanctioned ways into a draining shadow epoch's state: stamp-
-/// routed straggler delivery, shadow timer ticks, export/import transfer.
-/// Pass nullptr for a no-op scope (keeps call sites branch-free).
+/// The running task's frame: group `gid` of executor `exec`, entered from
+/// `origin`. Endpoint::post_to opens one at the top of every task; the
+/// previous frame comes back when it closes.
+class GroupFrame {
+ public:
+  GroupFrame(const void* exec, std::uint64_t gid, Origin origin);
+  ~GroupFrame();
+  GroupFrame(const GroupFrame&) = delete;
+  GroupFrame& operator=(const GroupFrame&) = delete;
+
+ private:
+  std::uint64_t prev_owner_;
+  std::uint64_t prev_gid_;
+  Origin prev_origin_;
+};
+
+/// Marks the sanctioned ways into a draining shadow epoch's state: a task
+/// on the epoch it runs on (stamp-routed straggler delivery, shadow timer
+/// ticks, the rest of a task whose own switch starts the drain) and the
+/// export/import transfer.
 class ShadowScope {
  public:
   explicit ShadowScope(const void* stack);
@@ -170,30 +165,6 @@ class ShadowScope {
  private:
   const void* prev_;
 };
-
-/// Tags tasks posted while this scope is live with an origin richer than
-/// the default kPost (the stack entry points use it: downcall, datagram,
-/// timer, reconfig).
-class ScopedOrigin {
- public:
-  explicit ScopedOrigin(Origin o);
-  ~ScopedOrigin();
-  ScopedOrigin(const ScopedOrigin&) = delete;
-  ScopedOrigin& operator=(const ScopedOrigin&) = delete;
-
- private:
-  Origin prev_;
-};
-
-/// Vector-clock edges. capture() snapshots the calling thread's clock (and
-/// advances it); acquire() joins a snapshot into the calling thread;
-/// acquire_all() joins every registered thread's clock -- the edge
-/// Executor::drain publishes so post-drain reads on the caller are ordered
-/// after everything the workers did.
-using ClockSnapshot = std::shared_ptr<const std::vector<std::uint64_t>>;
-[[nodiscard]] ClockSnapshot capture();
-void acquire(const ClockSnapshot& snap);
-void acquire_all();
 
 }  // namespace horus::race
 
@@ -210,22 +181,14 @@ void acquire_all();
                                              (draining), (what))
 #define HORUS_RACE_PROBE_TIMER(owner, gid, what) \
   ::horus::race::OwnershipGuard::timer((owner), (gid), (what))
-#define HORUS_RACE_PROBE_PLAIN_WRITE(addr, what) \
-  ::horus::race::OwnershipGuard::plain_write((addr), (what))
+#define HORUS_RACE_GROUP_FRAME(name, exec, gid, origin) \
+  ::horus::race::GroupFrame name((exec), (gid), (origin))
 #define HORUS_RACE_SHADOW_SCOPE(name, stack) \
   ::horus::race::ShadowScope name(stack)
-#define HORUS_RACE_ORIGIN_SCOPE(name, origin) \
-  ::horus::race::ScopedOrigin name(::horus::race::Origin::origin)
-#define HORUS_RACE_WRAP_TASK(exec, key, task) \
-  ::horus::race::wrap_task((exec), (key), std::move(task))
-#define HORUS_RACE_ACQUIRE_ALL() ::horus::race::acquire_all()
 #else
 #define HORUS_RACE_PROBE_GROUP(owner, gid, what) ((void)0)
 #define HORUS_RACE_PROBE_STATE(owner, gid, stack, draining, what) ((void)0)
 #define HORUS_RACE_PROBE_TIMER(owner, gid, what) ((void)0)
-#define HORUS_RACE_PROBE_PLAIN_WRITE(addr, what) ((void)0)
+#define HORUS_RACE_GROUP_FRAME(name, exec, gid, origin) ((void)0)
 #define HORUS_RACE_SHADOW_SCOPE(name, stack) ((void)0)
-#define HORUS_RACE_ORIGIN_SCOPE(name, origin) ((void)0)
-#define HORUS_RACE_WRAP_TASK(exec, key, task) (std::move(task))
-#define HORUS_RACE_ACQUIRE_ALL() ((void)0)
 #endif

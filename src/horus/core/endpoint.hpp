@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "horus/analysis/race.hpp"
 #include "horus/core/stack.hpp"
 #include "horus/properties/algebra.hpp"
 #include "horus/runtime/executor.hpp"
@@ -201,13 +202,14 @@ class Endpoint {
   [[nodiscard]] Group* live_group(GroupId gid);
   Group& ensure_group(GroupId gid, Stack& on);
   /// The one way into a group task (Section 3: the group object is the
-  /// monitor every event enters): post a task keyed by `gid`, tagged
-  /// `origin` for horus-race, that builds the group on `create_on` if one
-  /// is given. On a crashed endpoint, an unknown or destroyed group, or a
-  /// retired epoch the task does nothing. Otherwise `act(Group&)` runs on
-  /// the current epoch or, when `epoch(Group&)` picks the epoch the task
-  /// belongs to (a timer's stack, a datagram's stamp), `act(Group&, Stack&)`
-  /// runs on that epoch's stack, in a shadow scope if it is draining.
+  /// monitor every event enters): post a task keyed by `gid`, run in
+  /// horus-race's frame for `gid` and `origin`, that builds the group on
+  /// `create_on` if one is given. On a crashed endpoint, an unknown or
+  /// destroyed group, or a retired epoch the task does nothing. Otherwise
+  /// `act(Group&)` runs on the current epoch or, when `epoch(Group&)` picks
+  /// the epoch the task belongs to (a timer's stack, a datagram's stamp),
+  /// `act(Group&, Stack&)` runs on that epoch's stack. Either way the task
+  /// runs in a shadow scope for its epoch, so it may drain it.
   template <class F, class Pick = std::nullptr_t>
   void post_to(GroupId gid, race::Origin origin, F act, Pick epoch = nullptr,
                Stack* create_on = nullptr);
@@ -239,20 +241,26 @@ class Endpoint {
 template <class F, class Pick>
 void Endpoint::post_to(GroupId gid, [[maybe_unused]] race::Origin origin,
                        F act, Pick epoch, Stack* create_on) {
-#ifdef HORUS_CHECK_RACES
-  race::ScopedOrigin race_origin(origin);
-#endif
   exec_->post(gid.id, [this, gid, create_on, act = std::move(act),
-                       epoch = std::move(epoch)]() mutable {
+                       epoch = std::move(epoch)
+#ifdef HORUS_CHECK_RACES
+                       , origin
+#endif
+  ]() mutable {
+    // Every probe the task trips compares against this frame.
+    HORUS_RACE_GROUP_FRAME(race_frame, exec_.get(), gid.id, origin);
     if (create_on != nullptr) ensure_group(gid, *create_on);
     Group* g = live_group(gid);
     if (g == nullptr) return;
+    // The task may touch the state of the epoch it runs on even once that
+    // epoch drains, which a switch the task commits itself can start.
     if constexpr (std::is_null_pointer_v<Pick>) {
+      HORUS_RACE_SHADOW_SCOPE(race_shadow, &g->stack());
       act(*g);
     } else {
       Group::Epoch* e = epoch(*g);
       if (e == nullptr) return;
-      HORUS_RACE_SHADOW_SCOPE(race_shadow, e->draining ? e->stack : nullptr);
+      HORUS_RACE_SHADOW_SCOPE(race_shadow, e->stack);
       act(*g, *e->stack);
     }
   });

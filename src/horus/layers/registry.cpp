@@ -9,7 +9,6 @@
 #include "horus/layers/com.hpp"
 #include "horus/layers/causal.hpp"
 #include "horus/layers/frag.hpp"
-#include "horus/layers/fused.hpp"
 #include "horus/layers/mbrship.hpp"
 #include "horus/layers/mcast.hpp"
 #include "horus/layers/merge.hpp"
@@ -122,7 +121,6 @@ const std::vector<std::pair<std::string, Factory>>& registry() {
       {"SIGN", [] { return std::make_unique<Sign>(); }},
       {"ENCRYPT", [] { return std::make_unique<Encrypt>(); }},
       {"COMPRESS", [] { return std::make_unique<Compress>(); }},
-      {"FUSED", [] { return std::make_unique<Fused>(); }},
       {"LOG", [] { return std::make_unique<LogLayer>(); }},
       {"TRACE", [] { return std::make_unique<Trace>(); }},
       {"ACCOUNT", [] { return std::make_unique<Account>(); }},

@@ -216,8 +216,6 @@ void NodeRuntime::shutdown() {
   stop_.store(true, std::memory_order_release);
   wake();
   if (loop_.joinable()) loop_.join();
-  // Everything the loop did happens-before what the caller reads next.
-  HORUS_RACE_ACQUIRE_ALL();
   // Posts from now on run on their poster; what is still in the inbox runs
   // here, so no task is lost and none runs while the endpoint dies.
   exec_->set_wake(nullptr);

@@ -68,8 +68,6 @@ void register_process_islands(MetricsRegistry& r) {
                  [] { return race::counters().wrong_group_timer; });
   r.poll_counter("race.stale_epoch", nullptr,
                  [] { return race::counters().stale_epoch; });
-  r.poll_counter("race.unsynced_write", nullptr,
-                 [] { return race::counters().unsynced_write; });
 
   // Stack boundary-crossing totals, derived from the flight recorder's
   // per-ring event counts: the hot path already records every crossing

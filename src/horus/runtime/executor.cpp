@@ -29,12 +29,9 @@ thread_local const GroupExecutor* t_loop_of = nullptr;
 
 }  // namespace
 
-Task Executor::wrap([[maybe_unused]] GroupKey key, Task t) const {
+Task Executor::wrap(Task t) {
 #ifdef HORUS_METRICS
   t = obs::wrap_queue_delay_probe(std::move(t));
-#endif
-#ifdef HORUS_CHECK_RACES
-  t = race::wrap_task(this, key, std::move(t));
 #endif
   return t;
 }

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "horus/analysis/race.hpp"
 #include "horus/util/thread_annotations.hpp"
 
 namespace horus::runtime {
@@ -43,13 +42,11 @@ class Executor {
   virtual ~Executor() = default;
   /// Submit a task bound to a group, the unit of mutual exclusion
   /// (Section 3). Depending on the model it may run before post returns.
-  void post(GroupKey key, Task t) { enqueue(key, wrap(key, std::move(t))); }
+  void post(GroupKey key, Task t) { enqueue(key, wrap(std::move(t))); }
 
  private:
-  /// The one place tasks are instrumented: the queue-delay probe innermost
-  /// (it times queue residency only, not the race bookkeeping), the
-  /// horus-race group frame outermost.
-  Task wrap(GroupKey key, Task t) const;
+  /// The one place tasks are instrumented: the queue-delay probe.
+  static Task wrap(Task t);
   /// Queue (or run) an already-wrapped task.
   virtual void enqueue(GroupKey key, Task t) = 0;
 };

@@ -25,9 +25,6 @@ TimerId Scheduler::schedule(Duration delay, std::function<void()> fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-#ifdef HORUS_CHECK_RACES
-  s.snap = race::capture();
-#endif
   heap_.push_back({now() + delay, next_seq_++, slot});
   s.pos = static_cast<std::uint32_t>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
@@ -83,9 +80,6 @@ void Scheduler::remove_at(std::size_t i) {
 void Scheduler::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn = nullptr;
-#ifdef HORUS_CHECK_RACES
-  s.snap = nullptr;
-#endif
   if (++s.gen == 0) s.gen = 1;
   free_.push_back(slot);
 }
@@ -96,14 +90,8 @@ void Scheduler::fire_head() {
   // Move the closure out before releasing: it may schedule events that
   // reuse this slot (and grow slots_) while it runs.
   std::function<void()> fn = std::move(slots_[head.slot].fn);
-#ifdef HORUS_CHECK_RACES
-  race::ClockSnapshot snap = std::move(slots_[head.slot].snap);
-#endif
   release(head.slot);
   now_.store(head.at, std::memory_order_relaxed);
-#ifdef HORUS_CHECK_RACES
-  race::acquire(snap);
-#endif
   fn();
 }
 

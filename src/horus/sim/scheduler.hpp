@@ -34,8 +34,6 @@
 #include <optional>
 #include <vector>
 
-#include "horus/analysis/race.hpp"
-
 namespace horus::sim {
 
 /// Virtual time in microseconds since simulation start.
@@ -100,12 +98,6 @@ class Scheduler {
     std::function<void()> fn;
     std::uint32_t gen = 1;  // bumped on every release; never 0
     std::uint32_t pos = 0;  // index in heap_ while live
-#ifdef HORUS_CHECK_RACES
-    // The scheduling thread's clock at schedule() time: the driver thread
-    // acquires it before firing, so schedule -> fire is a happens-before
-    // edge (state the arming task initialized is legal for the fire path).
-    race::ClockSnapshot snap;
-#endif
   };
 
   static bool earlier(const Entry& a, const Entry& b) {

@@ -43,6 +43,35 @@ TEST(Endpoint, DowncallsOnUnjoinedGroupAreNoOps) {
   EXPECT_EQ(a.find_group(kGroup), nullptr);
 }
 
+// A datagram for a group this endpoint never joined is dropped by the
+// demux before any group task is posted: no dispatch, no group, no upcall.
+TEST(Endpoint, NonMemberDatagramPostsNoTask) {
+  HorusSystem sys(quiet());
+  auto& a = sys.create_endpoint("NAK:COM");
+  auto& b = sys.create_endpoint("NAK:COM");
+  // Only a joins; its view names b, so its casts reach b's demux.
+  a.join(kGroup);
+  a.install_view(kGroup, {a.address(), b.address()});
+  sys.run_for(10 * sim::kMillisecond);
+
+  auto* bx = dynamic_cast<runtime::GroupExecutor*>(&b.executor());
+  ASSERT_NE(bx, nullptr);
+  const std::uint64_t tasks_before = bx->executed();
+  const std::uint64_t delivered_before = sys.net().stats().delivered;
+  int upcalls = 0;
+  b.on_upcall([&upcalls](Group&, UpEvent&) { ++upcalls; });
+  for (int i = 0; i < 3; ++i) {
+    a.cast(kGroup, Message::from_string("not for b " + std::to_string(i)));
+  }
+  sys.run_for(sim::kSecond);
+
+  ASSERT_GT(sys.net().stats().delivered, delivered_before)
+      << "no datagram reached b, so the drop was never exercised";
+  EXPECT_EQ(bx->executed(), tasks_before);
+  EXPECT_EQ(upcalls, 0);
+  EXPECT_EQ(b.find_group(kGroup), nullptr);
+}
+
 TEST(Endpoint, DestroyStopsAllActivity) {
   World w(2, "MBRSHIP:FRAG:NAK:COM", quiet());
   w.form_group();

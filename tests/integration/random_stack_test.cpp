@@ -90,8 +90,7 @@ TEST(RandomStacks, EveryAcceptedCompositionDelivers) {
     }
     w.sys.run_for(15 * sim::kSecond);
     bool reliable =
-        std::find(names.begin(), names.end(), "NAK") != names.end() ||
-        std::find(names.begin(), names.end(), "FUSED") != names.end();
+        std::find(names.begin(), names.end(), "NAK") != names.end();
     auto got = w.logs[1].casts_from(w.eps[0]->address());
     if (reliable) {
       ASSERT_EQ(got.size(), static_cast<std::size_t>(kMsgs)) << spec;

@@ -123,8 +123,8 @@ TEST(MinimalStack, FindsFifoStack) {
   auto res = find_minimal_stack(lib, kP1,
                                 make_set({Property::kFifoMulticast}));
   ASSERT_TRUE(res.found);
-  // Cheapest FIFO multicast: NAK over COM (or FUSED over COM); either way
-  // the bottom is a COM variant and the result is well-formed.
+  // Cheapest FIFO multicast: NAK over COM; the bottom is a COM variant
+  // and the result is well-formed.
   ASSERT_GE(res.stack.size(), 2u);
   EXPECT_TRUE(res.stack.back() == "COM" || res.stack.back() == "RAWCOM");
   std::vector<LayerSpec> chosen;
