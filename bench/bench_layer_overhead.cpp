@@ -8,7 +8,8 @@
 //
 //   * per-message CPU cost of progressively taller stacks (each row adds
 //     one layer; the delta column is that layer's overhead);
-//   * header bytes added per layer (the "unused bits" problem);
+//   * header bytes added per layer (with the compacted region, only each
+//     layer's field bits -- the paper's fix for the "unused bits" problem);
 //   * the hand-FUSED NAK+FRAG production layer vs the composed pair (the
 //     paper's proposed remedy of fusing common substacks);
 //   * the raw network baseline ("very lightweight protocol stacks permit

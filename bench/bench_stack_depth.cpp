@@ -1,7 +1,7 @@
 // Section 10, problem 1: "there is an indirect procedure call each time a
 // layer boundary is crossed." Measures end-to-end cost as pure pass-through
 // (PASS) layers are stacked 0..32 deep over NAK:COM, and the same with
-// header-pushing TAG layers (adds problem 3's push/pop per layer). The
+// header-writing TAG layers (adds problem 3's header work per layer). The
 // paper's claim that "the cost of a layer can be as low as just a few
 // instructions at runtime" shows up as the tiny per-PASS-layer slope.
 #include <benchmark/benchmark.h>

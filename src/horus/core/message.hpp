@@ -9,7 +9,9 @@
 // A Message is in one of two modes:
 //
 //  * tx mode -- created around a payload and sent DOWN a stack. Layers
-//    prepend header blocks (push). Two tx representations exist:
+//    write their fixed fields into the compacted region and prepend
+//    variable extensions as header blocks (push). Two tx representations
+//    exist:
 //      - linear: one contiguous wire buffer with reserved headroom (sized
 //        from the stack's precomputed header budget). Each push writes the
 //        header in place, immediately in front of what is already there, so
@@ -21,10 +23,11 @@
 //        and for payloads too large for the stack's buffer class; the wire
 //        form is gathered with one copy at the transport.
 //  * rx mode -- created around a received datagram and passed UP a stack.
-//    Layers pop their headers by advancing a cursor over the shared
-//    datagram buffer; whatever remains when the message reaches the
-//    application is the payload. No bytes are copied on the way up (the
-//    compacted header region is a view into the same buffer).
+//    Layers read their fields from the region and pop variable extensions
+//    by advancing a cursor over the shared datagram buffer; whatever
+//    remains when the message reaches the application is the payload. No
+//    bytes are copied on the way up (the compacted header region is a view
+//    into the same buffer).
 //
 // "The message object that is sent is different from the message object
 //  that is delivered" -- exactly these two modes.
@@ -33,13 +36,10 @@
 // wire buffer and the first mutation of a shared buffer clones it
 // (copy-on-write), so retransmission logs can hold cheap copies.
 //
-// Two header codecs exist, reproducing Section 10's discussion:
-//  * the classic push/pop blocks, where each layer's fields are written
-//    word-aligned (the measured overhead source), and
-//  * a compacted region: a single bit-packed area precomputed per stack
-//    (BitLayout), written in place by each layer with no push/pop at all.
-// Variable-length header extensions (e.g. piggybacked acknowledgement
-// vectors) always travel as push/pop blocks.
+// Layer headers use Section 10's fix 3: a compacted region, a single
+// bit-packed area precomputed per stack (BitLayout) and written in place by
+// each layer with no push/pop at all. Only variable-length header
+// extensions (e.g. CAUSAL's vector timestamp) travel as pushed blocks.
 #pragma once
 
 #include <memory>
@@ -65,7 +65,7 @@ class Message {
                              std::size_t len);
   /// rx mode: wrap a received datagram. The message occupies
   /// [offset, len) of the buffer; its first `region_bytes` bytes are the
-  /// compacted header region (0 in classic mode). len = SIZE_MAX means the
+  /// compacted header region. len = SIZE_MAX means the
   /// whole buffer; transports that append trailers pass a shorter len, and
   /// endpoint-level framing passes a nonzero offset. Zero-copy: the region
   /// stays a view into the shared buffer.
@@ -116,7 +116,7 @@ class Message {
   /// write to a shared buffer, so it always succeeds on a linear message.
   [[nodiscard]] MutByteSpan prepend(std::size_t n);
 
-  /// Prepend a header block (classic codec). tx mode only.
+  /// Prepend a header block (a layer's variable extension). tx mode only.
   void push_block(ByteSpan block);
 
   /// The compacted header region, grown to at least `bytes`. tx mode only.

@@ -96,18 +96,12 @@ Stack::Stack(StackConfig cfg, std::vector<std::unique_ptr<Layer>> layers,
 
 void Stack::compute_headroom_budget() {
   // Worst case framing any descent can prepend: the endpoint demux prefix,
-  // the compacted region, and each layer's header. Fixed fields are
-  // word-aligned in the classic codec and live in the region in compact
-  // mode; variable extensions travel as blocks in both, with a slack
-  // allowance (an undersized estimate only costs a counted growth copy,
-  // never correctness).
+  // the compacted region, and each variable header extension, which travels
+  // as a block with a slack allowance (an undersized estimate only costs a
+  // counted growth copy, never correctness).
   std::size_t h = kFramePrefix + region_bytes();
   for (const auto& l : layers_) {
-    const LayerInfo& li = l->info();
-    if (cfg_.codec == HeaderCodec::kPushPop) {
-      for (const FieldSpec& f : li.fields) h += f.bits <= 32 ? 4 : 8;
-    }
-    if (li.uses_var) h += 64;
+    if (l->info().uses_var) h += 64;
   }
   headroom_budget_ = h + 16;
 }
@@ -147,10 +141,6 @@ void Stack::compile_skip_tables() {
   }
 }
 
-std::size_t Stack::region_bytes() const {
-  return cfg_.codec == HeaderCodec::kCompact ? layout_.byte_size() : 0;
-}
-
 // Every event -- downcall, datagram, timer -- enters through one
 // Endpoint::post_to task keyed by the group: the group object, not the
 // stack, is the unit of mutual exclusion (Section 3), and horus-race checks
@@ -182,13 +172,11 @@ void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
   if (is_data(ev.type)) maybe_linearize(ev.msg);
   std::size_t next;
   if (from_index == kAppSink) {
-    next = 0;
-    if (cfg_.skip_noop_layers && is_data(ev.type) && !layers_.empty() &&
-        layers_[0]->info().skip_data_down) {
-      // The top layer itself may be skippable; reuse its table entry.
-      next = next_down_[0];
-    }
-  } else if (cfg_.skip_noop_layers && is_data(ev.type)) {
+    // The top layer itself may be skippable; reuse its table entry.
+    next = is_data(ev.type) && layers_[0]->info().skip_data_down
+               ? next_down_[0]
+               : 0;
+  } else if (is_data(ev.type)) {
     next = next_down_[from_index];
   } else {
     next = from_index + 1;
@@ -224,15 +212,9 @@ void Stack::forward_down_batch(std::size_t from_index, Group& g,
   }
   std::size_t next;
   if (from_index == kAppSink) {
-    next = 0;
-    if (cfg_.skip_noop_layers && !layers_.empty() &&
-        layers_[0]->info().skip_data_down) {
-      next = next_down_[0];
-    }
-  } else if (cfg_.skip_noop_layers) {
-    next = next_down_[from_index];
+    next = layers_[0]->info().skip_data_down ? next_down_[0] : 0;
   } else {
-    next = from_index + 1;
+    next = next_down_[from_index];
   }
   if (next >= layers_.size()) return;  // absorbed below the bottom
   // Contract-checked stacks and batch-opaque layers take the per-event
@@ -254,7 +236,7 @@ void Stack::forward_up(std::size_t from_index, Group& g, UpEvent& ev) {
   std::size_t next;
   if (from_index == 0) {
     next = kAppSink;
-  } else if (cfg_.skip_noop_layers && is_data(ev.type)) {
+  } else if (is_data(ev.type)) {
     next = next_up_[from_index];
   } else {
     next = from_index - 1;
@@ -337,87 +319,43 @@ void Stack::push_header(Message& m, const Layer& layer,
   if (monitor_ != nullptr) monitor_->on_push_header(layer, m);
   const LayerInfo& li = layer.info();
   assert(fields.size() == li.fields.size());
-  if (cfg_.codec == HeaderCodec::kCompact) {
-    MutByteSpan region = m.region_mut(layout_.byte_size());
-    std::size_t grp = group_of_[layer.index()];
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      layout_.set(region, grp, i, fields[i]);
-    }
-    if (li.uses_var) {
-      std::size_t n = varint_size(var.size()) + var.size();
-      if (MutByteSpan dst = m.prepend(n); dst.data() != nullptr) {
-        Writer w(dst);  // serialize straight into the headroom
-        w.bytes(var);
-      } else {
-        Writer w;
-        w.bytes(var);
-        m.push_block(w.data());
-      }
-    }
-    return;
-  }
-  // Classic codec: every field is pushed word-aligned, exactly the overhead
-  // Section 10 complains about ("a considerable overhead of unused bits").
-  // The encoded size is known up front, so linear messages reserve it in
-  // their headroom and serialize in place -- no temporary block, no copy.
-  std::size_t n = 0;
-  for (const FieldSpec& f : li.fields) n += f.bits <= 32 ? 4 : 8;
-  if (li.uses_var) n += varint_size(var.size()) + var.size();
-  if (MutByteSpan dst = m.prepend(n); dst.data() != nullptr) {
-    Writer w(dst);
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (li.fields[i].bits <= 32) {
-        w.u32(static_cast<std::uint32_t>(fields[i]));
-      } else {
-        w.u64(fields[i]);
-      }
-    }
-    if (li.uses_var) w.bytes(var);
-    assert(w.external() && w.size() == n);
-    return;
-  }
-  Writer w;
+  MutByteSpan region = m.region_mut(layout_.byte_size());
+  std::size_t grp = group_of_[layer.index()];
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (li.fields[i].bits <= 32) {
-      w.u32(static_cast<std::uint32_t>(fields[i]));
+    layout_.set(region, grp, i, fields[i]);
+  }
+  if (li.uses_var) {
+    std::size_t n = varint_size(var.size()) + var.size();
+    if (MutByteSpan dst = m.prepend(n); dst.data() != nullptr) {
+      Writer w(dst);  // serialize straight into the headroom
+      w.bytes(var);
     } else {
-      w.u64(fields[i]);
+      Writer w;
+      w.bytes(var);
+      m.push_block(w.data());
     }
   }
-  if (li.uses_var) w.bytes(var);
-  m.push_block(w.data());
 }
 
 PoppedHeader Stack::pop_header(Message& m, const Layer& layer) {
   if (monitor_ != nullptr) monitor_->on_pop_header(layer, m);
   const LayerInfo& li = layer.info();
+  ByteSpan region = m.region();
+  if (region.size() < layout_.byte_size()) throw DecodeError("short header region");
   PoppedHeader out;
-  out.fields.reserve(li.fields.size());
-  if (cfg_.codec == HeaderCodec::kCompact) {
-    ByteSpan region = m.region();
-    if (region.size() < layout_.byte_size()) throw DecodeError("short header region");
-    std::size_t grp = group_of_[layer.index()];
-    for (std::size_t i = 0; i < li.fields.size(); ++i) {
-      out.fields.push_back(layout_.get(region, grp, i));
-    }
-    if (li.uses_var) {
-      Reader r = m.reader();
-      out.var = r.bytes();
-      m.consume(r.position());
-    }
-    return out;
+  std::size_t grp = group_of_[layer.index()];
+  for (std::size_t i = 0; i < li.fields.size(); ++i) {
+    out.fields.push_back(layout_.get(region, grp, i));
   }
-  Reader r = m.reader();
-  for (const FieldSpec& f : li.fields) {
-    out.fields.push_back(f.bits <= 32 ? r.u32() : r.u64());
+  if (li.uses_var) {
+    Reader r = m.reader();
+    out.var = r.bytes();
+    m.consume(r.position());
   }
-  if (li.uses_var) out.var = r.bytes();
-  m.consume(r.position());
   return out;
 }
 
 Bytes Stack::region_prefix(const Message& m, const Layer& layer) const {
-  if (cfg_.codec != HeaderCodec::kCompact) return {};
   std::size_t prefix_bits = 0;
   for (std::size_t i = 0; i < layer.index(); ++i) {
     for (const FieldSpec& f : layers_[i]->info().fields) {

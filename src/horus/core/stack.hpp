@@ -5,7 +5,7 @@
 //  bottom), validates well-formedness against the Section 6 property
 //  algebra, compiles the compacted header layout (Section 10, fix 3) and
 //  the no-op-layer skip tables (fix 1), and provides the services every
-//  layer needs: header codecs, timers, the transport sink below and the
+//  layer needs: the header codec, timers, the transport sink below and the
 //  application sink above.
 #pragma once
 
@@ -34,12 +34,6 @@ namespace horus {
 
 class Endpoint;
 
-/// How layer headers are encoded on the wire.
-enum class HeaderCodec {
-  kPushPop,  ///< classic: each layer pushes its own word-aligned block
-  kCompact,  ///< Section 10 fix 3: one precomputed bit-packed region
-};
-
 /// Which membership/partition policy MBRSHIP applies (Section 9).
 enum class PartitionPolicy {
   kPrimaryPartition,  ///< Isis-style: only a majority partition makes progress
@@ -62,9 +56,7 @@ struct PackingConfig {
 /// Tunables shared by all layers of a stack. Times are in microseconds of
 /// simulated (or driver) time.
 struct StackConfig {
-  HeaderCodec codec = HeaderCodec::kPushPop;
-  bool skip_noop_layers = true;  ///< enable the Section 10 layer-skip fast path
-  std::size_t mtu = 1400;        ///< transport datagram limit, drives FRAG
+  std::size_t mtu = 1400;  ///< transport datagram limit, drives FRAG
 
   // NAK (reliable FIFO) tuning.
   sim::Duration nak_status_interval = 20 * sim::kMillisecond;
@@ -162,7 +154,6 @@ struct PoppedHeader {
       assert(n_ < kMaxFields);
       v_[n_++] = v;
     }
-    void reserve(std::size_t) {}  // capacity is fixed; vector-compatible
     [[nodiscard]] std::uint64_t operator[](std::size_t i) const { return v_[i]; }
     [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -226,19 +217,22 @@ class Stack {
 
   // -- header codec services --------------------------------------------------
 
-  /// Encode `fields` (and optional variable extension) for `layer` onto a
-  /// tx message, using the stack's codec.
+  /// Write `layer`'s fixed fields into the message's compacted region (Section
+  /// 10, fix 3) and prepend its variable extension, if it declares one, as a
+  /// length-prefixed block. `fields` holds one value per declared field.
   void push_header(Message& m, const Layer& layer,
                    std::span<const std::uint64_t> fields, ByteSpan var = {});
 
-  /// Decode (and consume) `layer`'s header from an rx message.
+  /// Decode `layer`'s fields from an rx message's region and consume its
+  /// variable extension.
   PoppedHeader pop_header(Message& m, const Layer& layer);
 
-  /// Size of the compacted region (0 in push/pop mode).
-  [[nodiscard]] std::size_t region_bytes() const;
+  /// Size of the compacted region: every layer's fields, bit-packed and
+  /// rounded up to whole bytes once for the stack.
+  [[nodiscard]] std::size_t region_bytes() const { return layout_.byte_size(); }
 
   /// Worst-case bytes of framing + headers any descent through this stack
-  /// can prepend (gid prefix + region + every layer's fields + var slack).
+  /// can prepend (gid prefix + region + var slack).
   /// Computed once at construction; sizes the wire-buffer headroom so that
   /// a steady-state cast never reallocates.
   [[nodiscard]] std::size_t headroom_budget() const { return headroom_budget_; }
@@ -249,7 +243,7 @@ class Stack {
   /// The region bits belonging to layers strictly above `layer`, copied out
   /// and masked to whole bytes. Integrity layers (CHKSUM, SIGN) include
   /// this in their coverage so that compacted headers of upper layers are
-  /// protected too. Empty in push/pop mode.
+  /// protected too.
   [[nodiscard]] Bytes region_prefix(const Message& m, const Layer& layer) const;
 
   // -- services for layers ----------------------------------------------------
@@ -328,7 +322,7 @@ class Stack {
   sim::Scheduler& sched_;
   Endpoint* owner_;
   props::PropertySet provided_ = 0;
-  BitLayout layout_;                  // compact codec layout
+  BitLayout layout_;                  // the compacted header region
   std::vector<std::size_t> group_of_; // layer index -> layout group
   // Skip tables: for data events, the next layer index that actually acts
   // (layers_.size() means the sink).

@@ -14,7 +14,8 @@ namespace horus::layers {
 /// A message captured at some layer boundary, so it can be logged and later
 /// re-injected (flush unstable-message exchange, NAK retransmission).
 /// `rest` is the serialized content above the capturing layer; `region` is
-/// the compacted header region (empty in push/pop mode).
+/// the compacted header region as staged so far (empty if no layer above
+/// wrote a field yet).
 struct CapturedMsg {
   Bytes region;
   Bytes rest;

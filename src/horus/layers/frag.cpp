@@ -22,7 +22,7 @@ LayerInfo make_info() {
   return li;
 }
 
-// Headroom left for the layers below FRAG (NAK + COM headers, compact
+// Headroom left for the framing below FRAG (frame prefix, the compacted
 // region, CRC trailer) within the transport MTU.
 constexpr std::size_t kLowerHeadroom = 128;
 

@@ -53,13 +53,13 @@ std::size_t Pack::budget() const {
 
 std::size_t Pack::lower_overhead() const {
   // Fixed per-datagram cost each coalesced cast avoids: the endpoint demux
-  // prefix, the CRC trailer, and (classic codec) the lower layers'
-  // word-aligned fields. A deliberate underestimate in compact mode, where
-  // the shared region is counted at zero.
-  std::size_t n = Stack::kFramePrefix + 4;
+  // prefix, the CRC trailer, the compacted header region, and the length
+  // prefix of each lower layer's variable extension (counted empty, so the
+  // figure never overstates the saving).
+  std::size_t n = Stack::kFramePrefix + 4 + stack().region_bytes();
   const auto& ls = stack().layers();
   for (std::size_t i = index() + 1; i < ls.size(); ++i) {
-    for (const FieldSpec& f : ls[i]->info().fields) n += f.bits <= 32 ? 4 : 8;
+    if (ls[i]->info().uses_var) n += varint_size(0);
   }
   return n;
 }

@@ -58,8 +58,8 @@ class Pack final : public Layer {
 
   /// Train payload budget in bytes (config, or MTU-derived).
   [[nodiscard]] std::size_t budget() const;
-  /// Estimated per-datagram bytes below this layer (frame prefix, lower
-  /// fixed headers, CRC trailer); feeds the packed_bytes_saved counter.
+  /// Per-datagram bytes each coalesced cast avoids (frame prefix, CRC
+  /// trailer, compacted region); feeds the packed_bytes_saved counter.
   [[nodiscard]] std::size_t lower_overhead() const;
   /// Send the pending train (or lone cast) down; clears the buffer.
   void flush(Group& g, State& st, FlushReason reason);

@@ -62,7 +62,7 @@ class Pass final : public Layer {
   LayerInfo info_;
 };
 
-/// TAG: pushes and pops one 32-bit field; measures header push/pop cost
+/// TAG: writes and reads one 32-bit header field; measures the header cost
 /// (Section 10, problem 3) per layer.
 class Tag final : public Layer {
  public:

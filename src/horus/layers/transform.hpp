@@ -4,11 +4,10 @@
 // "just more layers" under the HCPI, insertable anywhere in a stack.
 //
 // Coverage note: each layer protects/transforms the serialized content
-// above itself (headers pushed by upper layers + payload) plus, in compact
-// header mode, the region bits belonging to upper layers
-// (Stack::region_prefix). Its own and lower layers' fields are written
-// after it runs and are excluded -- the same scoping a real on-the-wire
-// layered checksum has.
+// above itself (variable extensions pushed by upper layers + payload) plus
+// the region bits belonging to upper layers (Stack::region_prefix). Its own
+// and lower layers' fields are written after it runs and are excluded --
+// the same scoping a real on-the-wire layered checksum has.
 #pragma once
 
 #include "horus/core/layer.hpp"
@@ -59,9 +58,9 @@ class Sign final : public Layer {
   LayerInfo info_;
 };
 
-/// ENCRYPT: XOR-keystream privacy with a per-message nonce. In compact
-/// header mode the upper layers' region bits remain plaintext (header
-/// metadata, not payload); the serialized upper content is ciphered.
+/// ENCRYPT: XOR-keystream privacy with a per-message nonce. The upper
+/// layers' region bits remain plaintext (header metadata, not payload); the
+/// serialized upper content is ciphered.
 class Encrypt final : public Layer {
  public:
   Encrypt();

@@ -1,39 +1,8 @@
 #include "horus/util/bitfield.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace horus {
-
-void bits_set(MutByteSpan buf, std::size_t off, int bits, std::uint64_t value) {
-  assert(bits >= 1 && bits <= 64);
-  if (bits < 64) value &= (1ULL << bits) - 1;
-  for (int i = 0; i < bits; ++i) {
-    std::size_t bit = off + static_cast<std::size_t>(i);
-    std::size_t byte = bit >> 3;
-    int shift = static_cast<int>(bit & 7);
-    assert(byte < buf.size());
-    std::uint8_t mask = static_cast<std::uint8_t>(1u << shift);
-    if ((value >> i) & 1) {
-      buf[byte] |= mask;
-    } else {
-      buf[byte] &= static_cast<std::uint8_t>(~mask);
-    }
-  }
-}
-
-std::uint64_t bits_get(ByteSpan buf, std::size_t off, int bits) {
-  assert(bits >= 1 && bits <= 64);
-  std::uint64_t v = 0;
-  for (int i = 0; i < bits; ++i) {
-    std::size_t bit = off + static_cast<std::size_t>(i);
-    std::size_t byte = bit >> 3;
-    int shift = static_cast<int>(bit & 7);
-    assert(byte < buf.size());
-    v |= static_cast<std::uint64_t>((buf[byte] >> shift) & 1) << i;
-  }
-  return v;
-}
 
 std::size_t BitLayout::add_group(const std::vector<FieldSpec>& fields) {
   std::vector<Slot> slots;
@@ -45,18 +14,6 @@ std::size_t BitLayout::add_group(const std::vector<FieldSpec>& fields) {
   }
   groups_.push_back(std::move(slots));
   return groups_.size() - 1;
-}
-
-void BitLayout::set(MutByteSpan region, std::size_t group, std::size_t field,
-                    std::uint64_t value) const {
-  const Slot& s = groups_.at(group).at(field);
-  bits_set(region, s.offset, s.bits, value);
-}
-
-std::uint64_t BitLayout::get(ByteSpan region, std::size_t group,
-                             std::size_t field) const {
-  const Slot& s = groups_.at(group).at(field);
-  return bits_get(region, s.offset, s.bits);
 }
 
 }  // namespace horus

@@ -80,10 +80,10 @@ TEST(Cactus, IllFormedBranchRejected) {
   EXPECT_THROW(sys.add_stack(ep, "FRAG:COM"), std::invalid_argument);
 }
 
-TEST(Cactus, DifferentCodecsPerBranchInterop) {
-  // Codec is per-stack config... in this implementation config is shared
-  // per endpoint, so both branches use one codec -- but two endpoints with
-  // multiple branches each still interoperate branch-to-branch.
+TEST(Cactus, DifferentLayoutsPerBranchInterop) {
+  // Each branch is its own stack with its own compacted header layout; two
+  // endpoints with multiple branches each still interoperate
+  // branch-to-branch.
   HorusSystem::Options o;
   o.net.loss = 0.1;
   HorusSystem sys(o);

@@ -1,7 +1,6 @@
 // Stack composition mechanics: run-time assembly from spec strings,
-// well-formedness enforcement at creation, header codecs (classic word-
-// aligned push/pop vs the Section 10 compacted region), the no-op-layer
-// skip tables, stats and diagnostics (focus/dump).
+// well-formedness enforcement at creation, the Section 10 compacted header
+// region, the no-op-layer skip tables, stats and diagnostics (focus/dump).
 #include "../common/test_util.hpp"
 
 namespace horus::testing {
@@ -47,30 +46,19 @@ TEST(StackBuild, FindLayerByName) {
   EXPECT_EQ(ep.stack().find_layer("TOTAL"), nullptr);
 }
 
-TEST(StackBuild, RegionBytesZeroInClassicMode) {
+// MBRSHIP(4+32+32) + FRAG(1+1) + NAK(3+1+32+32) + COM(64+1) bits; the group
+// id is endpoint-level framing, not a COM field.
+constexpr std::size_t kMfncRegionBits =
+    (4 + 32 + 32) + (1 + 1) + (3 + 1 + 32 + 32) + (64 + 1);
+
+TEST(StackBuild, RegionBytesCompacted) {
   HorusSystem sys;
   auto& ep = sys.create_endpoint("MBRSHIP:FRAG:NAK:COM");
-  EXPECT_EQ(ep.stack().region_bytes(), 0u);
+  EXPECT_EQ(ep.stack().region_bytes(), (kMfncRegionBits + 7) / 8);
 }
 
-TEST(StackBuild, RegionBytesCompactedInCompactMode) {
-  HorusSystem::Options opts;
-  opts.stack.codec = HeaderCodec::kCompact;
-  HorusSystem sys(opts);
-  auto& ep = sys.create_endpoint("MBRSHIP:FRAG:NAK:COM");
-  // MBRSHIP(4+32+32) + FRAG(1+1) + NAK(3+1+32+32) + COM(64+1) bits; the
-  // group id is endpoint-level framing, not a COM field.
-  std::size_t bits = (4 + 32 + 32) + (1 + 1) + (3 + 1 + 32 + 32) + (64 + 1);
-  EXPECT_EQ(ep.stack().region_bytes(), (bits + 7) / 8);
-}
-
-// Both codecs must interoperate end to end (same stack on both sides).
-class CodecTest : public ::testing::TestWithParam<HeaderCodec> {};
-
-TEST_P(CodecTest, FullStackDelivery) {
-  HorusSystem::Options opts;
-  opts.stack.codec = GetParam();
-  World w(3, "TOTAL:MBRSHIP:FRAG:NAK:COM", opts);
+TEST(CodecTest, FullStackDelivery) {
+  World w(3, "TOTAL:MBRSHIP:FRAG:NAK:COM");
   w.form_group();
   ASSERT_TRUE(w.converged());
   for (int i = 0; i < 5; ++i) {
@@ -85,39 +73,27 @@ TEST_P(CodecTest, FullStackDelivery) {
   }
 }
 
-TEST_P(CodecTest, CompactSavesWireBytes) {
-  if (GetParam() != HeaderCodec::kCompact) GTEST_SKIP();
-  // Measure header bytes per datagram under both codecs for an identical
-  // workload; the compacted region must be smaller (Section 10, fix 3).
-  auto run = [](HeaderCodec codec) {
-    HorusSystem::Options opts;
-    opts.stack.codec = codec;
-    opts.net.loss = 0.0;
-    World w(2, "MBRSHIP:FRAG:NAK:COM", opts);
-    w.form_group();
-    w.eps[0]->stack().reset_stats();
-    for (int i = 0; i < 50; ++i) {
-      w.eps[0]->cast(kGroup, Message::from_string("0123456789"));
-    }
-    w.sys.run_for(sim::kSecond);
-    const StackStats& s = w.eps[0]->stack().stats();
-    return static_cast<double>(s.header_bytes_sent) /
-           static_cast<double>(s.datagrams_sent);
-  };
-  double classic = run(HeaderCodec::kPushPop);
-  double compact = run(HeaderCodec::kCompact);
-  EXPECT_LT(compact, classic)
-      << "compacted headers should use fewer bytes per datagram";
+TEST(CodecTest, CompactSavesWireBytes) {
+  // No layer of this stack declares a variable extension, so every
+  // datagram -- data or control -- carries exactly the frame prefix, the
+  // compacted region and COM's CRC trailer as header bytes (Section 10,
+  // fix 3).
+  HorusSystem::Options opts;
+  opts.net.loss = 0.0;
+  World w(2, "MBRSHIP:FRAG:NAK:COM", opts);
+  w.form_group();
+  w.eps[0]->stack().reset_stats();
+  for (int i = 0; i < 50; ++i) {
+    w.eps[0]->cast(kGroup, Message::from_string("0123456789"));
+  }
+  w.sys.run_for(sim::kSecond);
+  const StackStats& s = w.eps[0]->stack().stats();
+  const std::size_t per_dgram =
+      Stack::kFramePrefix + (kMfncRegionBits + 7) / 8 + 4;
+  EXPECT_EQ(per_dgram, 40u);
+  ASSERT_GT(s.datagrams_sent.load(), 50u);
+  EXPECT_EQ(s.header_bytes_sent.load(), s.datagrams_sent.load() * per_dgram);
 }
-
-INSTANTIATE_TEST_SUITE_P(Codecs, CodecTest,
-                         ::testing::Values(HeaderCodec::kPushPop,
-                                           HeaderCodec::kCompact),
-                         [](const auto& info) {
-                           return info.param == HeaderCodec::kPushPop
-                                      ? "PushPop"
-                                      : "Compact";
-                         });
 
 TEST(StackSkip, NopLayersAreSkippedOnDataPath) {
   // A tower of NOP layers must not change behaviour; with skipping enabled
@@ -137,7 +113,8 @@ TEST(StackSkip, NopLayersAreSkippedOnDataPath) {
 TEST(StackSkip, DisabledSkippingStillCorrect) {
   HorusSystem::Options opts;
   opts.net.loss = 0.0;
-  opts.stack.skip_noop_layers = false;
+  // PASS is never skipped: the data path still visits a non-skippable
+  // layer between skipped ones.
   World w(2, "NOP:PASS:MBRSHIP:FRAG:NAK:COM", opts);
   w.form_group();
   w.eps[0]->cast(kGroup, Message::from_string("slow path"));

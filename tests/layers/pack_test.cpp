@@ -131,6 +131,24 @@ TEST(Pack, CountCapFlushesWithoutWaitingForTimer) {
   EXPECT_EQ(d.casts_packed, 8u);
 }
 
+TEST(Pack, SavedBytesPriceTheAvoidedFraming) {
+  HorusSystem::Options o;
+  o.net.loss = 0.0;
+  o.stack.packing.max_count = 4;
+  PackWorld w(2, kPackStack, o);
+  // PACK(1) + FRAG(1+1) + NAK(3+1+32+32) + COM(64+1) bits, one region.
+  ASSERT_EQ(w.eps[0]->stack().region_bytes(), 17u);
+  const std::uint64_t base = msg_path_stats().packed_bytes_saved.load();
+  for (const std::string& s : numbered(4, "s")) {
+    w.eps[0]->cast(kGroup, Message::from_string(s));
+  }
+  w.sys.run_for(sim::kMillisecond);
+  ASSERT_EQ(w.logs[1].casts_from(w.eps[0]->address()).size(), 4u);
+  // One train of 4 avoids 3 datagrams, each the frame prefix (10), the
+  // compacted region (17) and the CRC trailer (4).
+  EXPECT_EQ(msg_path_stats().packed_bytes_saved.load() - base, 3u * 31u);
+}
+
 TEST(Pack, ByteBudgetPreSplitsTrains) {
   HorusSystem::Options o;
   o.net.loss = 0.0;

@@ -7,6 +7,70 @@
 namespace horus {
 namespace {
 
+// Reference codec: one bit at a time, the definition of the region's bit
+// order (bit `off + i` of the buffer holds bit i of the value).
+void ref_set(MutByteSpan buf, std::size_t off, int bits, std::uint64_t value) {
+  for (int i = 0; i < bits; ++i) {
+    std::size_t bit = off + static_cast<std::size_t>(i);
+    auto mask = static_cast<std::uint8_t>(1u << (bit & 7));
+    if ((value >> i) & 1) {
+      buf[bit >> 3] |= mask;
+    } else {
+      buf[bit >> 3] &= static_cast<std::uint8_t>(~mask);
+    }
+  }
+}
+
+std::uint64_t ref_get(ByteSpan buf, std::size_t off, int bits) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bits; ++i) {
+    std::size_t bit = off + static_cast<std::size_t>(i);
+    v |= static_cast<std::uint64_t>((buf[bit >> 3] >> (bit & 7)) & 1) << i;
+  }
+  return v;
+}
+
+// Every shift 0-7 x width 1-64, each at a few byte positions: in a roomy
+// buffer, and in buffers that end exactly with the field's last byte (so
+// the tail path, the plain 8-byte word and the 9-byte straddle -- e.g. 64
+// bits at shift 7 -- all meet the end of the allocation). The word-masked
+// accessors must agree with the reference bit for bit, and every bit
+// outside the field must keep its prior value. Under AddressSanitizer a
+// load or store past the buffer's end fails this test.
+TEST(Bits, WordMaskedAccessorsMatchReference) {
+  Rng rng(7);
+  for (int shift = 0; shift < 8; ++shift) {
+    for (int width = 1; width <= 64; ++width) {
+      for (std::size_t first_byte : {0u, 1u, 9u}) {
+        const std::size_t off = first_byte * 8 + static_cast<std::size_t>(shift);
+        const std::size_t tight = (off + static_cast<std::size_t>(width) + 7) / 8;
+        for (std::size_t size : {tight, tight + 16}) {
+          Bytes before(size);
+          for (auto& b : before) b = static_cast<std::uint8_t>(rng.next_u64());
+          for (std::uint64_t value : {rng.next_u64(), ~std::uint64_t{0},
+                                      std::uint64_t{0}}) {
+            SCOPED_TRACE("shift " + std::to_string(shift) + " width " +
+                         std::to_string(width) + " off " + std::to_string(off) +
+                         " size " + std::to_string(size));
+            Bytes got = before;
+            Bytes want = before;
+            bits_set(got, off, width, value);
+            ref_set(want, off, width, value);
+            ASSERT_EQ(got, want);
+            // Neighbours untouched: only the field's bits may differ.
+            for (std::size_t bit = 0; bit < size * 8; ++bit) {
+              if (bit >= off && bit < off + static_cast<std::size_t>(width)) continue;
+              ASSERT_EQ(ref_get(got, bit, 1), ref_get(before, bit, 1)) << "bit " << bit;
+            }
+            ASSERT_EQ(bits_get(got, off, width), ref_get(want, off, width));
+            ASSERT_EQ(bits_get(before, off, width), ref_get(before, off, width));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Bits, SetGetSingleBits) {
   Bytes buf(4, 0);
   bits_set(buf, 0, 1, 1);
