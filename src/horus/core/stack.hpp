@@ -60,6 +60,9 @@ struct StackConfig {
 
   // NAK (reliable FIFO) tuning.
   sim::Duration nak_status_interval = 20 * sim::kMillisecond;
+  /// NAK requests a gap's missing messages a tenth of this after it sees
+  /// the gap (the reorder allowance), then again this often while the gap
+  /// stays open. NNAK's free-running resend tick.
   sim::Duration nak_resend_timeout = 10 * sim::kMillisecond;
   std::size_t nak_window = 256;        ///< max unacked casts buffered per peer
   std::size_t nak_max_retain = 4096;   ///< retransmit buffer cap (then LOST_MESSAGE)

@@ -4,6 +4,10 @@
 
 #include "horus/util/log.hpp"
 
+#ifdef HORUS_METRICS
+#include "horus/obs/metrics.hpp"
+#endif
+
 namespace horus::layers {
 namespace {
 
@@ -27,26 +31,36 @@ LayerInfo make_info() {
   return li;
 }
 
+void bump(obs::Counter* c) {
+#ifdef HORUS_METRICS
+  if (obs::enabled()) c->add();
+#else
+  (void)c;
+#endif
+}
+
 }  // namespace
 
-Nak::Nak() : info_(make_info()) {}
+Nak::Nak() : info_(make_info()) {
+#ifdef HORUS_METRICS
+  obs::MetricsRegistry& reg = obs::metrics();
+  requests_sent_ = &reg.counter("nak.requests_sent");
+  retransmitted_ = &reg.counter("nak.retransmissions");
+  placeholders_sent_ = &reg.counter("nak.placeholders_sent");
+#endif
+}
 
 std::unique_ptr<LayerState> Nak::make_state(Group& g) {
   auto st = std::make_unique<State>();
   State* raw = st.get();
   // Periodic status gossip (ack propagation, flow control, failure
-  // detection) and gap scan (negative acknowledgements). The state object
-  // lives in the group's slot; its address is stable.
+  // detection). Gap repair arms its own timer when a gap opens. The state
+  // object lives in the group's slot; its address is stable.
   st->status_timer = stack().schedule(g.gid(), stack().config().nak_status_interval,
                                       [this, raw](Group& gg) {
                                         send_status(gg, *raw);
                                         rearm_status(gg, *raw);
                                       });
-  st->scan_timer = stack().schedule(g.gid(), stack().config().nak_resend_timeout,
-                                    [this, raw](Group& gg) {
-                                      scan_gaps(gg, *raw);
-                                      rearm_scan(gg, *raw);
-                                    });
   return st;
 }
 
@@ -87,7 +101,7 @@ void Nak::down(Group& g, DownEvent& ev) {
       return;
     case DownType::kDestroy:
       stack().cancel(st.status_timer);
-      stack().cancel(st.scan_timer);
+      stack().cancel(st.repair_timer);
       pass_down(g, ev);
       return;
     default:
@@ -142,13 +156,14 @@ void Nak::send_cast_now(Group& g, State& st, Message msg) {
   st.cast_buf[{st.epoch, seq}] = CapturedMsg::capture(msg);
   // We know our own stream's extent the moment we send: if the loopback
   // copy of our last cast is lost, no status message will ever tell us
-  // (we do not send status to ourselves), so record it here and let the
-  // gap scan repair it from our own buffer.
+  // (we do not send status to ourselves), so record it here and let gap
+  // repair NAK it from our own buffer.
   {
     PeerState& me = peer(st, g, stack().address());
     StreamIn& in = me.cast_in[st.epoch];
     in.known_max = std::max(in.known_max, seq);
     me.latest_epoch = std::max(me.latest_epoch, st.epoch);
+    watch_gap(g, st, in);
   }
   if (st.cast_buf.size() > stack().config().nak_max_retain) {
     st.cast_buf.erase(st.cast_buf.begin());
@@ -218,6 +233,7 @@ void Nak::handle_data(Group& g, State& st, UpEvent& ev, std::uint64_t stream,
   if (seq > in.expected) {
     in.ooo.emplace(seq, placeholder ? std::nullopt
                                     : std::optional<Message>(std::move(ev.msg)));
+    watch_gap(g, st, in);
     return;
   }
   // In order: deliver, then drain the out-of-order buffer.
@@ -235,6 +251,7 @@ void Nak::handle_data(Group& g, State& st, UpEvent& ev, std::uint64_t stream,
     pass_up(g, ev);
   }
   deliver_ready(g, st, ev.source, stream == 0, epoch, in);
+  watch_gap(g, st, in);
 }
 
 void Nak::deliver_ready(Group& g, State& st, const Address& src, bool is_cast,
@@ -294,6 +311,7 @@ void Nak::handle_nakreq(Group& g, State& st, const Address& src, Reader r) {
       }
       if (cap != nullptr) {
         ++st.retransmissions;
+        bump(retransmitted_);
         Message m = cap->to_tx();
         std::uint64_t fields[] = {kData, stream, epoch, s};
         stack().push_header(m, *this, fields);
@@ -304,7 +322,7 @@ void Nak::handle_nakreq(Group& g, State& st, const Address& src, Reader r) {
         pass_down(g, out);
       } else {
         // No longer buffered: the receiver gets a LOST_MESSAGE placeholder.
-        ++st.placeholders_sent;
+        bump(placeholders_sent_);
         HLOG_DEBUG("NAK") << stack().address().id << " placeholder for "
                          << src.id << " stream=" << stream << " epoch=" << epoch
                          << " seq=" << s << " (my epoch " << st.epoch
@@ -404,6 +422,7 @@ void Nak::handle_status(Group& g, State& st, const Address& src, Reader r) {
     if (own_seq > 0 && g.view().contains(src)) {
       StreamIn& in = p.cast_in[epoch];
       in.known_max = std::max(in.known_max, own_seq);
+      watch_gap(g, st, in);
     }
     Address self = stack().address();
     std::uint64_t ncast = r.varint();
@@ -436,9 +455,10 @@ void Nak::handle_status(Group& g, State& st, const Address& src, Reader r) {
       Address a{r.u64()};
       std::uint64_t c = r.varint();
       if (a == self) {
-        // The peer's unicast stream to me reaches c: scan_gaps will NAK
+        // The peer's unicast stream to me reaches c: gap repair will NAK
         // anything I have not received.
         p.send_in.known_max = std::max(p.send_in.known_max, c);
+        watch_gap(g, st, p.send_in);
       }
     }
     // GC the multicast retransmit buffer and release flow-controlled casts.
@@ -462,15 +482,43 @@ void Nak::handle_status(Group& g, State& st, const Address& src, Reader r) {
   }
 }
 
-void Nak::scan_gaps(Group& g, State& st) {
+void Nak::watch_gap(Group& g, State& st, StreamIn& in) {
+  // Nothing to do without a gap, or for a head already timed (expected
+  // only grows, so a timed head is still this gap's head).
+  if (in.known_max < in.expected || in.nak_head == in.expected) return;
+  in.nak_head = in.expected;
+  in.nak_due = stack().now() + stack().config().nak_resend_timeout / 10;
+  arm_repair(g, st, in.nak_due);
+}
+
+void Nak::arm_repair(Group& g, State& st, sim::Time at) {
+  if (st.repair_timer != 0 && st.repair_at <= at) return;
+  stack().cancel(st.repair_timer);
+  st.repair_at = at;
+  st.repair_timer = stack().schedule(g.gid(), at - stack().now(),
+                                     [this, &st](Group& gg) {
+                                       st.repair_timer = 0;
+                                       repair(gg, st);
+                                     });
+}
+
+void Nak::repair(Group& g, State& st) {
+  const sim::Time now = stack().now();
+  sim::Time next = UINT64_MAX;
+  auto visit = [&](const Address& src, std::uint64_t stream,
+                   std::uint64_t epoch, StreamIn& in) {
+    if (in.known_max < in.expected) return;
+    if (in.nak_due <= now) {
+      nak_stream(g, src, stream, epoch, in);
+      in.nak_due = now + stack().config().nak_resend_timeout;
+    }
+    next = std::min(next, in.nak_due);
+  };
   for (auto& [addr, p] : st.peers) {
-    for (auto& [epoch, in] : p.cast_in) {
-      if (in.known_max >= in.expected) nak_stream(g, addr, 0, epoch, in);
-    }
-    if (p.send_in.known_max >= p.send_in.expected) {
-      nak_stream(g, addr, 1, 0, p.send_in);
-    }
+    for (auto& [epoch, in] : p.cast_in) visit(addr, 0, epoch, in);
+    visit(addr, 1, 0, p.send_in);
   }
+  if (next != UINT64_MAX) arm_repair(g, st, next);
 }
 
 void Nak::nak_stream(Group& g, const Address& src, std::uint64_t stream,
@@ -485,6 +533,7 @@ void Nak::nak_stream(Group& g, const Address& src, std::uint64_t stream,
   w.varint(epoch);
   w.varint(from);
   w.varint(to);
+  bump(requests_sent_);
   send_control(g, src, kNakReq, stream, epoch, 0, w.data());
 }
 
@@ -513,14 +562,6 @@ void Nak::rearm_status(Group& g, State& st) {
       g.gid(), stack().config().nak_status_interval, [this, &st](Group& gg) {
         send_status(gg, st);
         rearm_status(gg, st);
-      });
-}
-
-void Nak::rearm_scan(Group& g, State& st) {
-  st.scan_timer = stack().schedule(
-      g.gid(), stack().config().nak_resend_timeout, [this, &st](Group& gg) {
-        scan_gaps(gg, st);
-        rearm_scan(gg, st);
       });
 }
 

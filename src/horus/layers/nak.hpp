@@ -20,6 +20,15 @@
 // at 1 per peer pair, and carry out-of-band control traffic for the layers
 // above (joins, flushes, merges); gaps are learned from the peers' status
 // transmission reports and repaired by NAKs like any other stream.
+//
+// Repair is event-driven. A stream has a gap while it knows of a sequence
+// number it has not delivered (known_max >= expected). When a gap opens, or
+// its head moves, the first NAK is due after a reorder allowance of
+// nak_resend_timeout / 10: a datagram overtaken in flight arrives within it
+// and costs no NAK. While the gap stays open the stream NAKs again every
+// nak_resend_timeout. A gap arms the group's one repair timer for the
+// earliest due NAK; the timer re-arms only while some gap remains, so an
+// idle group runs none.
 #pragma once
 
 #include <deque>
@@ -28,6 +37,10 @@
 
 #include "horus/core/layer.hpp"
 #include "horus/layers/common.hpp"
+
+namespace horus::obs {
+class Counter;
+}  // namespace horus::obs
 
 namespace horus::layers {
 
@@ -54,6 +67,8 @@ class Nak final : public Layer {
     /// Out-of-order buffer; nullopt marks a placeholder (lost message).
     std::map<std::uint64_t, std::optional<Message>> ooo;
     std::uint64_t known_max = 0;  ///< highest seq known to exist
+    sim::Time nak_due = 0;        ///< when the open gap is next NAKed
+    std::uint64_t nak_head = 0;   ///< the `expected` nak_due was set for
   };
 
   struct PeerState {
@@ -76,16 +91,18 @@ class Nak final : public Layer {
     std::map<std::pair<std::uint64_t, std::uint64_t>, CapturedMsg> cast_buf;
     std::deque<Message> pending;      ///< casts awaiting flow-control window
     sim::TimerId status_timer = 0;
-    sim::TimerId scan_timer = 0;
+    sim::TimerId repair_timer = 0;  ///< 0 while not armed
+    sim::Time repair_at = 0;        ///< when repair_timer fires
     std::uint64_t delivered_count = 0;
     std::uint64_t retransmissions = 0;
-    std::uint64_t placeholders_sent = 0;
   };
 
   PeerState& peer(State& st, Group& g, const Address& a);
   void ensure_epoch(Group& g, State& st);
   void rearm_status(Group& g, State& st);
-  void rearm_scan(Group& g, State& st);
+  void watch_gap(Group& g, State& st, StreamIn& in);
+  void arm_repair(Group& g, State& st, sim::Time at);
+  void repair(Group& g, State& st);
   void send_cast_now(Group& g, State& st, Message msg);
   void drain_pending(Group& g, State& st);
   std::uint64_t min_cast_acked(Group& g, State& st) const;
@@ -99,12 +116,16 @@ class Nak final : public Layer {
                     std::uint64_t stream, std::uint64_t epoch,
                     std::uint64_t seq, ByteSpan payload);
   void send_status(Group& g, State& st);
-  void scan_gaps(Group& g, State& st);
   void nak_stream(Group& g, const Address& src, std::uint64_t stream,
                   std::uint64_t epoch, const StreamIn& in);
   void on_view(Group& g, State& st, const View& v);
 
   LayerInfo info_;
+  // Registry counters (docs/obs.md), resolved once; null when the
+  // HORUS_METRICS probes are compiled out.
+  obs::Counter* requests_sent_ = nullptr;
+  obs::Counter* retransmitted_ = nullptr;
+  obs::Counter* placeholders_sent_ = nullptr;
 };
 
 }  // namespace horus::layers

@@ -1,10 +1,24 @@
 // NAK layer: FIFO under loss/reordering/duplication, retransmission via
 // negative acknowledgements, window flow control, LOST_MESSAGE
 // placeholders, failure suspicion, and epoch handling across views.
+#include <algorithm>
+
 #include "../common/test_util.hpp"
+#include "horus/obs/metrics.hpp"
 
 namespace horus::testing {
 namespace {
+
+// NAK bumps its registry counters only when the probes are compiled in.
+#ifdef HORUS_METRICS
+constexpr bool kCounted = true;
+#else
+constexpr bool kCounted = false;
+#endif
+
+std::uint64_t registry_count(const std::string& name) {
+  return obs::metrics().counter(name).value();
+}
 
 struct NakWorld : World {
   explicit NakWorld(std::size_t n, HorusSystem::Options o = {})
@@ -142,8 +156,13 @@ TEST(Nak, LostMessagePlaceholderOnBufferOverflow) {
   }
   sys.run_for(100 * sim::kMillisecond);
   sys.net().clear_link_params(a.address().id, b.address().id);
+  const std::uint64_t placeholders0 = registry_count("nak.placeholders_sent");
   sys.run_for(5 * sim::kSecond);
   EXPECT_GT(lb.lost.size(), 0u) << "expected LOST_MESSAGE placeholders";
+  if (kCounted) {
+    EXPECT_EQ(registry_count("nak.placeholders_sent") - placeholders0,
+              lb.lost.size());
+  }
   EXPECT_GT(lb.casts.size(), 0u) << "tail casts must still arrive";
   EXPECT_EQ(lb.lost.size() + lb.casts.size(), 20u)
       << "every sequence number accounted for: delivered or reported lost";
@@ -214,6 +233,134 @@ TEST(Nak, ManySendersInterleaved) {
       }
     }
   }
+}
+
+// Drops the data datagrams from `src` to `dst` at the chosen ordinals
+// (counting only datagrams of at least `min_size` bytes on that link);
+// every other fate comes from the default seeded policy.
+struct DropChosen final : sim::FaultPolicy {
+  DropChosen(std::uint64_t seed, sim::NodeId src, sim::NodeId dst,
+             std::size_t min_size, std::vector<std::uint64_t> ordinals)
+      : rng(seed), src(src), dst(dst), min_size(min_size),
+        ordinals(std::move(ordinals)) {}
+  sim::FaultDecision decide(std::uint64_t index, sim::NodeId s, sim::NodeId d,
+                            std::size_t size, const sim::LinkParams& p) override {
+    sim::FaultDecision f = rng.decide(index, s, d, size, p);
+    if (s == src && d == dst && size >= min_size) {
+      if (std::find(ordinals.begin(), ordinals.end(), seen++) != ordinals.end()) {
+        f.drop = true;
+        ++dropped;
+      }
+    }
+    return f;
+  }
+  sim::RngFaultPolicy rng;
+  sim::NodeId src, dst;
+  std::size_t min_size;
+  std::vector<std::uint64_t> ordinals;
+  std::uint64_t seen = 0;
+  int dropped = 0;
+};
+
+std::uint64_t retrans_of(Endpoint& ep) {
+  std::string d = ep.dump(kGroup, "NAK");
+  auto at = d.find("retrans=");
+  EXPECT_NE(at, std::string::npos) << d;
+  return std::stoull(d.substr(at + 8));
+}
+
+// The receiver NAKs a lost cast as soon as the reorder allowance after it
+// sees the gap runs out, not on some later periodic scan.
+TEST(Nak, GapRepairedWithinATenthOfResendTimeout) {
+  constexpr sim::Duration kDelay = 200;     // fixed: no reordering
+  constexpr sim::Duration kInterval = 200;  // one cast every 200 us
+  constexpr int kCasts = 200;
+  HorusSystem::Options o;
+  o.net.delay_min = kDelay;
+  o.net.delay_max = kDelay;
+  NakWorld w(2, o);
+  // Three drops, 37 datagrams apart, so they sit at different phases of any
+  // clock the repair might wait on.
+  auto policy = std::make_shared<DropChosen>(
+      o.seed, w.eps[0]->address().id, w.eps[1]->address().id, 300,
+      std::vector<std::uint64_t>{50, 87, 124});
+  w.sys.net().set_fault_policy(policy);
+  const std::uint64_t requests0 = registry_count("nak.requests_sent");
+  const std::uint64_t retrans0 = registry_count("nak.retransmissions");
+  std::vector<sim::Time> sent(kCasts), got(kCasts);
+  w.eps[1]->on_upcall([&](Group&, UpEvent& ev) {
+    if (ev.type == UpType::kCast) {
+      got[std::stoul(ev.msg.payload_string())] = w.sys.now();
+    }
+  });
+  for (int i = 0; i < kCasts; ++i) {
+    sent[static_cast<std::size_t>(i)] = w.sys.now();
+    w.eps[0]->cast(kGroup, Message::from_string(std::to_string(i) + ":" +
+                                                std::string(400, 'x')));
+    w.sys.run_for(kInterval);
+  }
+  w.sys.run_for(sim::kSecond);
+  ASSERT_EQ(policy->dropped, 3);
+  // A lost cast is NAKed once the next one shows the gap (its send plus
+  // one link delay) and the allowance runs out; the NAK and the
+  // retransmission each cross the link once more.
+  const sim::Duration bound = kInterval + kDelay +
+                              o.stack.nak_resend_timeout / 10 + 2 * kDelay +
+                              100 /* slack */;
+  sim::Duration worst = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_GT(got[i], 0u) << "cast " << i << " never delivered";
+    worst = std::max(worst, got[i] - sent[i]);
+  }
+  EXPECT_LE(worst, bound);
+  if (kCounted) {
+    // Each drop costs exactly one request and one retransmission.
+    EXPECT_EQ(registry_count("nak.requests_sent") - requests0, 3u);
+    EXPECT_EQ(registry_count("nak.retransmissions") - retrans0, 3u);
+  }
+}
+
+// A reordered datagram arrives within the reorder allowance, so reordering
+// alone never triggers a NAK.
+TEST(Nak, ReorderingAloneSendsNoNak) {
+  HorusSystem::Options o;
+  o.net.delay_min = 100;
+  o.net.delay_max = 300;
+  NakWorld w(3, o);
+  constexpr int kCasts = 2000;
+  for (int i = 0; i < kCasts; ++i) {
+    w.eps[static_cast<std::size_t>(i % 3)]->cast(
+        kGroup, Message::from_string(std::to_string(i)));
+    w.sys.run_for(50);
+  }
+  w.sys.run_for(sim::kSecond);
+  for (std::size_t m = 0; m < 3; ++m) {
+    EXPECT_EQ(w.logs[m].casts.size(), static_cast<std::size_t>(kCasts)) << m;
+    EXPECT_EQ(retrans_of(*w.eps[m]), 0u) << "member " << m;
+  }
+}
+
+// Once traffic drains, a group's only events are its status gossip: each
+// member's status timer and the status datagrams it sends. No repair
+// timer runs without a gap.
+TEST(Nak, IdleGroupRunsNoRepairTimer) {
+  HorusSystem::Options o;
+  o.net.loss = 0.0;
+  constexpr std::size_t kMembers = 3;
+  NakWorld w(kMembers, o);
+  for (int i = 0; i < 30; ++i) {
+    w.eps[static_cast<std::size_t>(i) % kMembers]->cast(
+        kGroup, Message::from_string(std::to_string(i)));
+  }
+  w.sys.run_for(sim::kSecond);
+  for (std::size_t m = 0; m < kMembers; ++m) ASSERT_EQ(w.logs[m].casts.size(), 30u);
+  const std::uint64_t delivered0 = w.sys.net().stats().delivered.load();
+  const std::size_t events = w.sys.run_for(sim::kSecond);
+  const std::uint64_t datagrams = w.sys.net().stats().delivered.load() - delivered0;
+  const std::size_t status_fires =
+      kMembers * (sim::kSecond / o.stack.nak_status_interval);
+  EXPECT_EQ(datagrams, status_fires * (kMembers - 1)) << "status gossip only";
+  EXPECT_EQ(events, status_fires + datagrams);
 }
 
 // Two groups on one endpoint pair, casts interleaved across them: NAK
