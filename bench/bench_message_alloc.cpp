@@ -5,10 +5,8 @@
 //  * BM_BuilderHotPath  -- the pooled linear builder alone: acquire ->
 //    make_linear -> prepend (external Writer) -> finalize_wire -> release.
 //    Steady state must report allocs_per_op == 0.
-//  * BM_LegacyGather    -- the same logical message through the chunked
-//    representation and to_wire, for contrast (several allocs/op).
 //  * BM_EndpointCast    -- a full cast through a live stack; allocs/op here
-//    includes the event machinery, while pool_miss_per_op, gather_per_op and
+//    includes the event machinery, while pool_miss_per_op and
 //    copied_bytes_per_op isolate the message path itself.
 #include <benchmark/benchmark.h>
 
@@ -74,23 +72,6 @@ void BM_BuilderHotPath(benchmark::State& state) {
 }
 BENCHMARK(BM_BuilderHotPath);
 
-void BM_LegacyGather(benchmark::State& state) {
-  auto buf = std::make_shared<const Bytes>(Bytes(kPayload, 0x61));
-  Bytes header(12, 0x7f);
-
-  std::uint64_t allocs0 = g_allocs.load();
-  for (auto _ : state) {
-    Message m = Message::from_shared(buf, 0, kPayload);
-    m.push_block(header);
-    Bytes wire = m.to_wire(0);
-    benchmark::DoNotOptimize(wire.data());
-  }
-  state.counters["allocs_per_op"] =
-      static_cast<double>(g_allocs.load() - allocs0) /
-      static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_LegacyGather);
-
 void BM_EndpointCast(benchmark::State& state, const std::string& spec) {
   Rig rig(spec, 2);
   Bytes payload(kPayload, 0x61);
@@ -100,8 +81,6 @@ void BM_EndpointCast(benchmark::State& state, const std::string& spec) {
   std::uint64_t allocs0 = g_allocs.load();
   std::uint64_t copied0 = stats.bytes_copied.load();
   std::uint64_t miss0 = stats.pool_misses.load();
-  std::uint64_t gather0 = stats.wire_gather.load();
-  std::uint64_t fast0 = stats.wire_fastpath.load();
   for (auto _ : state) rig.cast_and_settle(payload);
   auto n = static_cast<double>(state.iterations());
   state.counters["allocs_per_op"] =
@@ -110,10 +89,6 @@ void BM_EndpointCast(benchmark::State& state, const std::string& spec) {
       static_cast<double>(stats.bytes_copied.load() - copied0) / n;
   state.counters["pool_miss_per_op"] =
       static_cast<double>(stats.pool_misses.load() - miss0) / n;
-  state.counters["gather_per_op"] =
-      static_cast<double>(stats.wire_gather.load() - gather0) / n;
-  state.counters["fastpath_per_op"] =
-      static_cast<double>(stats.wire_fastpath.load() - fast0) / n;
 }
 BENCHMARK_CAPTURE(BM_EndpointCast, com, "COM");
 BENCHMARK_CAPTURE(BM_EndpointCast, frag_nak_com, "FRAG:NAK:COM");

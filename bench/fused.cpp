@@ -55,7 +55,7 @@ std::size_t Fused::threshold() const {
 
 void Fused::send_piece(Group& g, State& st, std::uint64_t seq, bool last,
                        ByteSpan piece, const Address* only_to) {
-  Message m = Message::from_payload(Bytes(piece.begin(), piece.end()));
+  Message m = stack().tx_message(piece);
   std::uint64_t fields[] = {kPiece, seq, last ? 1ULL : 0ULL};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -75,11 +75,7 @@ void Fused::down(Group& g, DownEvent& ev) {
   switch (ev.type) {
     case DownType::kCast: {
       // One pass: bundle, slice, sequence -- the fused fast path.
-      CapturedMsg cap = CapturedMsg::capture(ev.msg);
-      Writer w;
-      w.bytes(cap.region);
-      w.raw(cap.rest);
-      Bytes bundle = w.take();
+      Bytes bundle = bundle_of(ev.msg);
       std::size_t limit = threshold();
       for (std::size_t off = 0; off < bundle.size(); off += limit) {
         std::size_t len = std::min(limit, bundle.size() - off);
@@ -119,14 +115,11 @@ void Fused::accept_piece(Group& g, State& st, const Address& src, bool last,
   Bytes whole = std::move(in.acc);
   in.acc = {};
   try {
-    Reader r(whole);
-    Bytes region = r.bytes();
-    Bytes rest(r.rest().begin(), r.rest().end());
-    ++st.delivered;
     UpEvent out;
+    out.msg = unbundle(std::move(whole));
+    ++st.delivered;
     out.type = UpType::kCast;
     out.source = src;
-    out.msg = Message::from_parts(std::move(region), std::move(rest));
     pass_up(g, out);
   } catch (const DecodeError&) {
   }

@@ -1,5 +1,6 @@
 #include "horus/core/stack.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -88,7 +89,7 @@ Stack::Stack(StackConfig cfg, std::vector<std::unique_ptr<Layer>> layers,
   compile_skip_tables();
   compute_headroom_budget();
   // One buffer class fits the worst-case descent over an MTU-sized payload,
-  // so every in-budget tx message is a pool hit.
+  // so every tx message that fits in a datagram is a pool hit.
   tailroom_ = 4;  // CRC-32 trailer space (harmless spare for RAWCOM stacks)
   pool_ = std::make_unique<WireBufPool>(region_bytes() + headroom_budget_ +
                                         cfg_.mtu + tailroom_);
@@ -106,12 +107,25 @@ void Stack::compute_headroom_budget() {
   headroom_budget_ = h + 16;
 }
 
-void Stack::maybe_linearize(Message& m) {
-  if (pool_ == nullptr || m.rx() || m.linear()) return;
-  std::size_t need = region_bytes() + headroom_budget_ + m.payload_size() +
-                     m.pending_block_bytes() + tailroom_;
-  if (need > pool_->buf_capacity()) return;  // oversize: keep the gather path
-  m.linearize(pool_->acquire(need), region_bytes(), tailroom_);
+WireBufRef Stack::acquire(std::size_t region_cap, std::size_t content) {
+  return pool_->acquire(region_cap + headroom_budget_ + content + tailroom_);
+}
+
+void Stack::fit(Message& m) {
+  if (m.rx() || m.fits(region_bytes(), tailroom_)) return;
+  std::size_t rc = std::max(region_bytes(), m.region().size());
+  m.move_to(acquire(rc, m.upper_span().size()), rc, tailroom_);
+}
+
+Message Stack::tx_message(ByteSpan payload, ByteSpan region) {
+  std::size_t rc = std::max(region_bytes(), region.size());
+  Message m = Message::make_linear(acquire(rc, payload.size()), rc, tailroom_,
+                                   payload);
+  if (!region.empty()) {
+    MutByteSpan r = m.region_mut(region.size());
+    std::copy(region.begin(), region.end(), r.begin());
+  }
+  return m;
 }
 
 void Stack::compile_layout() {
@@ -167,9 +181,9 @@ void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
   HORUS_RACE_PROBE_GROUP(g.race_owner(), g.gid().id, "Stack::forward_down");
   if (monitor_ != nullptr) monitor_->on_forward_down(g, from_index, ev);
   // Any data descent -- an app downcall or a message originated mid-stack
-  // (token, retransmission, fragment) -- moves onto the linear hot path at
-  // its first boundary. No-op once linear.
-  if (is_data(ev.type)) maybe_linearize(ev.msg);
+  // (token, retransmission) -- gets this stack's geometry at its first
+  // boundary. No-op once it fits.
+  if (is_data(ev.type)) fit(ev.msg);
   std::size_t next;
   if (from_index == kAppSink) {
     // The top layer itself may be skippable; reuse its table entry.
@@ -225,7 +239,7 @@ void Stack::forward_down_batch(std::size_t from_index, Group& g,
     return;
   }
   for (DownEvent& ev : evs) {
-    if (is_data(ev.type)) maybe_linearize(ev.msg);
+    if (is_data(ev.type)) fit(ev.msg);
   }
   layers_[next]->down_batch(g, evs);
 }
@@ -319,21 +333,15 @@ void Stack::push_header(Message& m, const Layer& layer,
   if (monitor_ != nullptr) monitor_->on_push_header(layer, m);
   const LayerInfo& li = layer.info();
   assert(fields.size() == li.fields.size());
+  fit(m);
   MutByteSpan region = m.region_mut(layout_.byte_size());
   std::size_t grp = group_of_[layer.index()];
   for (std::size_t i = 0; i < fields.size(); ++i) {
     layout_.set(region, grp, i, fields[i]);
   }
   if (li.uses_var) {
-    std::size_t n = varint_size(var.size()) + var.size();
-    if (MutByteSpan dst = m.prepend(n); dst.data() != nullptr) {
-      Writer w(dst);  // serialize straight into the headroom
-      w.bytes(var);
-    } else {
-      Writer w;
-      w.bytes(var);
-      m.push_block(w.data());
-    }
+    Writer w(m.prepend(varint_size(var.size()) + var.size()));
+    w.bytes(var);  // serialized straight into the headroom
   }
 }
 

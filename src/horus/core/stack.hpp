@@ -240,8 +240,11 @@ class Stack {
   /// a steady-state cast never reallocates.
   [[nodiscard]] std::size_t headroom_budget() const { return headroom_budget_; }
 
-  /// The stack's wire-buffer pool (linear tx messages recycle through it).
-  [[nodiscard]] WireBufPool& pool() { return *pool_; }
+  /// A tx message carrying a copy of `payload`, with `region` staged, laid
+  /// out with this stack's geometry (see fit). Layers that build a message
+  /// from bytes (control messages, fragments, re-sent captures, transforms)
+  /// use this.
+  [[nodiscard]] Message tx_message(ByteSpan payload, ByteSpan region = {});
 
   /// The region bits belonging to layers strictly above `layer`, copied out
   /// and masked to whole bytes. Integrity layers (CHKSUM, SIGN) include
@@ -314,10 +317,14 @@ class Stack {
   void compile_layout();
   void compile_skip_tables();
   void compute_headroom_budget();
-  /// Convert an app-originated data message to linear form in a pooled
-  /// wire buffer (the zero-allocation hot path). Messages too large for
-  /// the pool's buffer class stay chunked and take the gather path.
-  void maybe_linearize(Message& m);
+  /// Give a tx message this stack's geometry -- region capacity, headroom
+  /// budget, CRC tailroom -- the first time the stack touches it (a data
+  /// descent or a header push). One copy into a pool buffer, or an unpooled
+  /// one when the message is oversize; a no-op once it fits.
+  void fit(Message& m);
+  /// A buffer for a message with a `region_cap`-byte region and `content`
+  /// bytes of headers and payload.
+  WireBufRef acquire(std::size_t region_cap, std::size_t content);
 
   StackConfig cfg_;
   std::vector<std::unique_ptr<Layer>> layers_;  // [0] = top

@@ -25,6 +25,10 @@ WireBufRef WireBufRef::make_unpooled(std::size_t capacity) {
   return WireBufRef(new WireBuf(capacity, nullptr));
 }
 
+WireBufRef WireBufRef::adopt(Bytes bytes) {
+  return WireBufRef(new WireBuf(std::move(bytes)));
+}
+
 WireBufPool::WireBufPool(std::size_t buf_capacity, std::size_t max_free)
     : buf_capacity_(buf_capacity),
       shared_(std::make_shared<detail::PoolShared>()) {

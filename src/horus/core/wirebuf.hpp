@@ -1,4 +1,4 @@
-// Headroom-based wire buffers for the zero-allocation message hot path.
+// Headroom-based wire buffers: the storage of every tx message.
 //
 // Section 3 of the paper requires that the message object "permits Horus to
 // pass messages up and down a stack with no copying of the data", and
@@ -10,12 +10,13 @@
 // is then a near-no-op: the datagram already exists contiguously inside the
 // buffer.
 //
-// Buffers are reference counted (messages are value types and may be
-// sliced) and recycled through a small free-list pool owned by the Stack,
-// so a steady-state cast performs zero heap allocations inside
-// Message/Writer. The pool is thread-safe: stacks may run on threaded
-// executors, and a buffer may be released on a different thread than the
-// one that acquired it.
+// Buffers are reference counted (messages are value types; a copy shares
+// the buffer until one side writes) and recycled through a small free-list
+// pool owned by the Stack, so a steady-state cast performs zero heap
+// allocations inside Message/Writer. The pool is thread-safe: stacks may
+// run on threaded executors, and a buffer may be released on a different
+// thread than the one that acquired it. A buffer is only ever reached
+// through a Message's WireBufRef; nothing else aliases its storage.
 #pragma once
 
 #include <atomic>
@@ -45,16 +46,14 @@ struct PoolShared {
 };
 }  // namespace detail
 
-/// One reference-counted contiguous buffer. Created only by WireBufPool
-/// (pooled) or internally by Message (oversize/unshare fallbacks).
+/// One reference-counted contiguous buffer. Created by WireBufPool
+/// (pooled) or through WireBufRef's factories (adopted payloads, oversize
+/// and copy-on-write fallbacks).
 class WireBuf {
  public:
   [[nodiscard]] std::uint8_t* data() { return storage_.data(); }
   [[nodiscard]] const std::uint8_t* data() const { return storage_.data(); }
   [[nodiscard]] std::size_t capacity() const { return storage_.size(); }
-  /// The whole buffer as an owned-elsewhere Bytes (for aliasing shared_ptrs
-  /// that let chunked messages reference a wire buffer's payload).
-  [[nodiscard]] const Bytes& storage() const { return storage_; }
 
  private:
   friend class WireBufPool;
@@ -62,6 +61,7 @@ class WireBuf {
 
   WireBuf(std::size_t cap, std::shared_ptr<detail::PoolShared> home)
       : storage_(cap), home_(std::move(home)) {}
+  explicit WireBuf(Bytes bytes) : storage_(std::move(bytes)) {}
 
   void ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
   void unref();
@@ -115,6 +115,8 @@ class WireBufRef {
   /// A plain heap buffer outside any pool (copy-on-write clones, oversize
   /// requests when no pool is involved).
   static WireBufRef make_unpooled(std::size_t capacity);
+  /// A plain heap buffer that takes over `bytes` (no copy).
+  static WireBufRef adopt(Bytes bytes);
 
  private:
   WireBuf* p_ = nullptr;
@@ -134,7 +136,6 @@ class WireBufPool {
   /// requests fall back to a dedicated heap buffer.
   [[nodiscard]] WireBufRef acquire(std::size_t at_least);
 
-  [[nodiscard]] std::size_t buf_capacity() const { return buf_capacity_; }
   [[nodiscard]] std::size_t free_count() const;
 
  private:

@@ -44,7 +44,7 @@ Address Bms::coordinator(Group& g, const State& st) const {
 
 void Bms::send_ctl(Group& g, std::uint64_t kind, const Address& dst,
                    ByteSpan payload) {
-  Message m = Message::from_payload(Bytes(payload.begin(), payload.end()));
+  Message m = stack().tx_message(payload);
   std::uint64_t fields[] = {kind, g.view().id().seq};
   stack().push_header(m, *this, fields);
   DownEvent out;

@@ -29,7 +29,7 @@ std::unique_ptr<LayerState> Chksum::make_state(Group&) {
 }
 
 void Chksum::down_one(Group&, DownEvent& ev) {
-  Bytes content = ev.msg.upper_wire();
+  ByteSpan content = ev.msg.upper_span();
   std::uint32_t crc =
       crc32_update(crc32(stack().region_prefix(ev.msg, *this)), content);
   std::uint64_t fields[] = {crc};
@@ -63,7 +63,7 @@ void Chksum::up(Group& g, UpEvent& ev) {
   } catch (const DecodeError&) {
     return;
   }
-  Bytes content = ev.msg.upper_wire();
+  ByteSpan content = ev.msg.upper_span();
   std::uint32_t crc =
       crc32_update(crc32(stack().region_prefix(ev.msg, *this)), content);
   if (crc != static_cast<std::uint32_t>(h.fields[0])) {

@@ -62,41 +62,22 @@ void Com::transmit(Group& g, Message& msg,
                    const std::vector<Address>& dests) {
   // Serialize once, transmit the same datagram to every destination.
   // Frame: [group id (endpoint demux prefix)][stack-epoch stamp]
-  // [stack bytes][crc32?].
+  // [stack bytes][crc32?]. The message already holds the whole frame
+  // contiguously in its wire buffer; finalize writes the prefix into the
+  // headroom and leaves the trailer to fill in the tailroom, with no
+  // allocation and no copy.
   std::size_t trailer = checksum_ ? 4 : 0;
-  std::size_t payload = msg.payload_size();
-  // Fast path: linear messages already hold the whole frame contiguously in
-  // their wire buffer; finalize writes the prefix into the headroom and the
-  // trailer into the tailroom, with no allocation and no copy.
   MutByteSpan frame = msg.finalize_wire(g.gid().id, stack().region_bytes(),
                                         trailer, stack().epoch_stamp());
-  if (frame.data() != nullptr) {
-    if (checksum_) {
-      std::size_t body = frame.size() - 4;
-      std::uint32_t crc = crc32(ByteSpan(frame.data(), body));
-      for (int i = 0; i < 4; ++i) {
-        frame[body + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(crc >> (8 * i));
-      }
-    }
-    stack().transport_send_raw_batch(dests, frame, payload);
-    return;
-  }
-  // Gather path: chunked messages (mid-stack control traffic, oversize
-  // payloads) are linearized here, once.
-  msg_path_stats().wire_gather.fetch_add(1, std::memory_order_relaxed);
-  Writer w;
-  w.u64(g.gid().id);
-  w.u16(stack().epoch_stamp());
-  w.raw(msg.to_wire(stack().region_bytes()));
-  Bytes wire = w.take();
   if (checksum_) {
-    std::uint32_t crc = crc32(wire);
+    std::size_t body = frame.size() - 4;
+    std::uint32_t crc = crc32(ByteSpan(frame.data(), body));
     for (int i = 0; i < 4; ++i) {
-      wire.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+      frame[body + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(crc >> (8 * i));
     }
   }
-  stack().transport_send_raw_batch(dests, wire, payload);
+  stack().transport_send_raw_batch(dests, frame, msg.payload_size());
 }
 
 void Com::up(Group& g, UpEvent& ev) { pass_up(g, ev); }

@@ -28,14 +28,13 @@ std::unique_ptr<LayerState> Compress::make_state(Group&) {
 
 void Compress::down_one(Group& g, DownEvent& ev) {
   State& st = state<State>(g);
-  Bytes content = ev.msg.upper_wire();
+  ByteSpan content = ev.msg.upper_span();
   Bytes packed = horus::compress(content);
   std::uint64_t use = packed.size() < content.size() ? 1 : 0;
   if (use != 0) {
     ++st.compressed;
     st.bytes_saved += content.size() - packed.size();
-    CapturedMsg cap{ev.msg.region_copy(), std::move(packed)};
-    ev.msg = cap.to_tx();
+    ev.msg = stack().tx_message(packed, ev.msg.region());
   }
   std::uint64_t fields[] = {use};
   stack().push_header(ev.msg, *this, fields);
@@ -70,8 +69,8 @@ void Compress::up(Group& g, UpEvent& ev) {
   }
   if (h.fields[0] != 0) {
     try {
-      Bytes plain = horus::decompress(ev.msg.upper_wire());
-      ev.msg = Message::from_parts(ev.msg.region_copy(), std::move(plain));
+      Bytes plain = horus::decompress(ev.msg.upper_span());
+      ev.msg = Message::from_parts(ev.msg.region(), plain);
     } catch (const DecodeError&) {
       return;  // corrupt stream: drop
     }

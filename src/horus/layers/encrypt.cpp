@@ -30,9 +30,9 @@ void Encrypt::down_one(Group& g, DownEvent& ev) {
   State& st = state<State>(g);
   // Nonce unique per (endpoint, message) under the group key.
   std::uint64_t nonce = (stack().address().id << 32) ^ ++st.nonce;
-  CapturedMsg cap = CapturedMsg::capture(ev.msg);
-  cap.rest = stream_xor(stack().config().key, nonce, cap.rest);
-  ev.msg = cap.to_tx();
+  ev.msg = stack().tx_message(
+      stream_xor(stack().config().key, nonce, ev.msg.upper_span()),
+      ev.msg.region());
   std::uint64_t fields[] = {nonce};
   stack().push_header(ev.msg, *this, fields);
 }
@@ -65,8 +65,9 @@ void Encrypt::up(Group& g, UpEvent& ev) {
     return;
   }
   State& st = state<State>(g);
-  Bytes plain = stream_xor(stack().config().key, h.fields[0], ev.msg.upper_wire());
-  ev.msg = Message::from_parts(ev.msg.region_copy(), std::move(plain));
+  Bytes plain =
+      stream_xor(stack().config().key, h.fields[0], ev.msg.upper_span());
+  ev.msg = Message::from_parts(ev.msg.region(), plain);
   ++st.decrypted;
   pass_up(g, ev);
 }

@@ -53,34 +53,19 @@ void Frag::down(Group& g, DownEvent& ev) {
     pass_down(g, ev);
     return;
   }
-  // Fragmenting path: capture the message content (upper headers + region +
-  // payload) into one bundle, then slice it. The content is serialized
-  // straight from the message's own buffers into one exactly-sized bundle
-  // (no intermediate CapturedMsg copy).
+  // Fragmenting path: one bundle, serialized straight from the message's
+  // buffer; each fragment is built from its slice of it.
   ++st.fragmented;
-  ByteSpan region = ev.msg.region();
-  ByteSpan upper = ev.msg.upper_span();
-  Bytes rest;  // fallback storage for chunked messages
-  if (upper.data() == nullptr) {
-    rest = ev.msg.upper_wire();
-    upper = ByteSpan(rest);
-  }
-  Writer w;
-  w.reserve(varint_size(region.size()) + region.size() + upper.size());
-  w.bytes(region);
-  w.raw(upper);
-  auto bundle = std::make_shared<const Bytes>(w.take());
-  std::size_t total = bundle->size();
-  for (std::size_t off = 0; off < total; off += limit) {
-    std::size_t len = std::min(limit, total - off);
-    bool last = off + len >= total;
-    Message frag = Message::from_shared(bundle, off, len);
-    std::uint64_t fields[] = {last ? 1ULL : 0ULL, 1};
-    stack().push_header(frag, *this, fields);
+  Bytes bundle = bundle_of(ev.msg);
+  for (std::size_t off = 0; off < bundle.size(); off += limit) {
+    std::size_t len = std::min(limit, bundle.size() - off);
+    bool last = off + len >= bundle.size();
     DownEvent out;
     out.type = ev.type;
     out.dests = ev.dests;
-    out.msg = std::move(frag);
+    out.msg = stack().tx_message(ByteSpan(bundle).subspan(off, len));
+    std::uint64_t fields[] = {last ? 1ULL : 0ULL, 1};
+    stack().push_header(out.msg, *this, fields);
     pass_down(g, out);
   }
 }
@@ -128,15 +113,12 @@ void Frag::up(Group& g, UpEvent& ev) {
   Bytes whole = std::move(as.acc);
   as.acc = {};
   try {
-    Reader r(whole);
-    Bytes region = r.bytes();
-    Bytes rest(r.rest().begin(), r.rest().end());
-    ++st.reassembled;
     UpEvent out;
+    out.msg = unbundle(std::move(whole));
+    ++st.reassembled;
     out.type = ev.type;
     out.source = ev.source;
     out.msg_id = ev.msg_id;
-    out.msg = Message::from_parts(std::move(region), std::move(rest));
     pass_up(g, out);
   } catch (const DecodeError&) {
     // Corrupt bundle framing: drop.

@@ -1021,7 +1021,7 @@ void Mbrship::bootstrap(Group& g, State& st) {
 
 void Mbrship::send_oob(Group& g, std::uint64_t kind, const Address& dst,
                        ByteSpan payload) {
-  Message m = Message::from_payload(Bytes(payload.begin(), payload.end()));
+  Message m = stack().tx_message(payload);
   std::uint64_t fields[] = {kind, g.view().id().seq, 0};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -1069,7 +1069,7 @@ void Mbrship::arm_gossip(Group& g, State& st) {
 void Mbrship::send_gossip(Group& g, State& st) {
   Writer w;
   encode_seq_map(w, st.delivered);
-  Message m = Message::from_payload(w.take());
+  Message m = stack().tx_message(w.span());
   std::uint64_t fields[] = {kGossip, g.view().id().seq, 0};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -1125,7 +1125,7 @@ void Mbrship::import_state(Group& g, Reader& r) {
   st.deferred_casts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     CapturedMsg c = CapturedMsg::decode(r);
-    st.deferred_casts.push_back(c.to_tx());
+    st.deferred_casts.push_back(c.to_tx(stack()));
   }
   st.last_install = r.bytes();
   st.blocked = r.boolean();

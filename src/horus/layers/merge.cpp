@@ -43,7 +43,7 @@ void Merge::arm(Group& g, State& st) {
 void Merge::send_ctrl(Group& g, std::uint64_t kind, const Address& dst) {
   Writer w;
   g.view().encode(w);
-  Message m = Message::from_payload(w.take());
+  Message m = stack().tx_message(w.span());
   std::uint64_t fields[] = {kind};
   stack().push_header(m, *this, fields);
   DownEvent out;

@@ -280,7 +280,7 @@ void Nak::deliver_ready(Group& g, State& st, const Address& src, bool is_cast,
 void Nak::send_control(Group& g, const Address& dst, std::uint64_t kind,
                        std::uint64_t stream, std::uint64_t epoch,
                        std::uint64_t seq, ByteSpan payload) {
-  Message m = Message::from_payload(Bytes(payload.begin(), payload.end()));
+  Message m = stack().tx_message(payload);
   std::uint64_t fields[] = {kind, stream, epoch, seq};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -312,7 +312,7 @@ void Nak::handle_nakreq(Group& g, State& st, const Address& src, Reader r) {
       if (cap != nullptr) {
         ++st.retransmissions;
         bump(retransmitted_);
-        Message m = cap->to_tx();
+        Message m = cap->to_tx(stack());
         std::uint64_t fields[] = {kData, stream, epoch, s};
         stack().push_header(m, *this, fields);
         DownEvent out;

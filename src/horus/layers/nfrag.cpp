@@ -76,25 +76,19 @@ void Nfrag::down(Group& g, DownEvent& ev) {
     return;
   }
   State& st = state<State>(g);
-  CapturedMsg cap = CapturedMsg::capture(ev.msg);
-  Writer w;
-  w.bytes(cap.region);
-  w.raw(cap.rest);
-  auto bundle = std::make_shared<const Bytes>(w.take());
+  Bytes bundle = bundle_of(ev.msg);  // never empty: starts with a varint
   std::size_t limit = threshold();
-  std::size_t total = (bundle->size() + limit - 1) / limit;
-  if (total == 0) total = 1;
+  std::size_t total = (bundle.size() + limit - 1) / limit;
   std::uint64_t msgid = ++st.next_msgid;
   for (std::size_t i = 0; i < total; ++i) {
     std::size_t off = i * limit;
-    std::size_t len = std::min(limit, bundle->size() - off);
-    Message frag = Message::from_shared(bundle, off, len);
-    std::uint64_t fields[] = {msgid, i, total};
-    stack().push_header(frag, *this, fields);
+    std::size_t len = std::min(limit, bundle.size() - off);
     DownEvent out;
     out.type = ev.type;
     out.dests = ev.dests;
-    out.msg = std::move(frag);
+    out.msg = stack().tx_message(ByteSpan(bundle).subspan(off, len));
+    std::uint64_t fields[] = {msgid, i, total};
+    stack().push_header(out.msg, *this, fields);
     pass_down(g, out);
   }
 }
@@ -133,14 +127,11 @@ void Nfrag::up(Group& g, UpEvent& ev) {
   bool is_send = as.is_send;
   st.assembling.erase({ev.source, msgid});
   try {
-    Reader r(whole);
-    Bytes region = r.bytes();
-    Bytes rest(r.rest().begin(), r.rest().end());
-    ++st.reassembled;
     UpEvent out;
+    out.msg = unbundle(std::move(whole));
+    ++st.reassembled;
     out.type = is_send ? UpType::kSend : UpType::kCast;
     out.source = ev.source;
-    out.msg = Message::from_parts(std::move(region), std::move(rest));
     pass_up(g, out);
   } catch (const DecodeError&) {
   }

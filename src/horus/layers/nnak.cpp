@@ -82,7 +82,7 @@ void Nnak::down(Group& g, DownEvent& ev) {
 
 void Nnak::send_control(Group& g, const Address& dst, std::uint64_t kind,
                         std::uint64_t seq, ByteSpan payload) {
-  Message m = Message::from_payload(Bytes(payload.begin(), payload.end()));
+  Message m = stack().tx_message(payload);
   std::uint64_t fields[] = {kind, seq};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -172,7 +172,7 @@ void Nnak::up(Group& g, UpEvent& ev) {
             continue;
           }
           ++st.retransmissions;
-          Message m = it->second.to_tx();
+          Message m = it->second.to_tx(stack());
           std::uint64_t fields[] = {kData, s};
           stack().push_header(m, *this, fields);
           DownEvent out;

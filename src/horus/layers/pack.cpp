@@ -28,8 +28,8 @@ LayerInfo make_info() {
 
 /// Encoded size of one train element (CapturedMsg::encode framing).
 std::size_t element_size(const CapturedMsg& c) {
-  return varint_size(c.region.size()) + c.region.size() +
-         varint_size(c.rest.size()) + c.rest.size();
+  return varint_size(c.region().size()) + c.region().size() +
+         varint_size(c.rest().size()) + c.rest().size();
 }
 
 }  // namespace
@@ -112,7 +112,7 @@ void Pack::flush(Group& g, State& st, FlushReason reason) {
     ++st.passthrough;
     DownEvent out;
     out.type = DownType::kCast;
-    out.msg = train[0].to_tx();
+    out.msg = train[0].to_tx(stack());
     std::uint64_t fields[] = {0};
     stack().push_header(out.msg, *this, fields);
     pass_down(g, out);
@@ -123,7 +123,7 @@ void Pack::flush(Group& g, State& st, FlushReason reason) {
   for (const CapturedMsg& c : train) c.encode(w);
   DownEvent out;
   out.type = DownType::kCast;
-  out.msg = Message::from_payload(w.take());
+  out.msg = stack().tx_message(w.span());
   std::uint64_t fields[] = {1};
   stack().push_header(out.msg, *this, fields);
   ++st.packs;

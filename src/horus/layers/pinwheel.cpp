@@ -98,7 +98,7 @@ void Pinwheel::forward_token(Group& g, State& st) {
   Writer w;
   w.varint(g.view().id().seq);
   encode_rows(w, st.rows);
-  Message m = Message::from_payload(w.take());
+  Message m = stack().tx_message(w.span());
   std::uint64_t fields[] = {kTokenKind};
   stack().push_header(m, *this, fields);
   DownEvent out;

@@ -37,7 +37,7 @@ std::unique_ptr<LayerState> Sign::make_state(Group&) {
 }
 
 void Sign::down_one(Group&, DownEvent& ev) {
-  Bytes content = ev.msg.upper_wire();
+  ByteSpan content = ev.msg.upper_span();
   std::uint64_t fields[] = {mac_of(stack(), *this, ev.msg, content)};
   stack().push_header(ev.msg, *this, fields);
 }
@@ -69,7 +69,7 @@ void Sign::up(Group& g, UpEvent& ev) {
   } catch (const DecodeError&) {
     return;
   }
-  Bytes content = ev.msg.upper_wire();
+  ByteSpan content = ev.msg.upper_span();
   if (mac_of(stack(), *this, ev.msg, content) != h.fields[0]) {
     // Forged or garbled: an intruder without the group key cannot produce
     // a valid MAC. Drop.

@@ -88,7 +88,7 @@ void Stable::send_gossip(Group& g, State& st) {
   // very streams whose stability we are tracking.
   Writer w;
   encode_seq_map(w, st.own);
-  Message m = Message::from_payload(w.take());
+  Message m = stack().tx_message(w.span());
   std::uint64_t fields[] = {kGossipKind};
   stack().push_header(m, *this, fields);
   DownEvent out;

@@ -125,7 +125,7 @@ void Total::pass_token(Group& g, State& st, Address to) {
   w.varint(g.view().id().seq);
   w.varint(st.next_stamp);
   w.varint(idle);
-  Message m = Message::from_payload(w.take());
+  Message m = stack().tx_message(w.span());
   std::uint64_t fields[] = {kToken, 0};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -144,7 +144,7 @@ void Total::request_token(Group& g, State& st) {
   Writer w;
   w.varint(g.view().id().seq);
   w.varint(st.next_stamp);
-  Message m = Message::from_payload(w.take());
+  Message m = stack().tx_message(w.span());
   std::uint64_t fields[] = {kRequest, 0};
   stack().push_header(m, *this, fields);
   DownEvent out;
@@ -424,7 +424,7 @@ void Total::import_state(Group& g, Reader& r) {
   n = r.varint();
   if (n > kSane) throw DecodeError("TOTAL state: pending count");
   for (std::uint64_t i = 0; i < n; ++i) {
-    st.pending.push_back(CapturedMsg::decode(r).to_tx());
+    st.pending.push_back(CapturedMsg::decode(r).to_tx(stack()));
   }
 }
 

@@ -73,7 +73,7 @@ Address Vss::exchange_coordinator(const State& st) const {
 
 void Vss::send_ctl(Group& g, std::uint64_t kind, const Address& dst,
                    ByteSpan payload) {
-  Message m = Message::from_payload(Bytes(payload.begin(), payload.end()));
+  Message m = stack().tx_message(payload);
   std::uint64_t fields[] = {kind, 0, 0};
   stack().push_header(m, *this, fields);
   DownEvent out;

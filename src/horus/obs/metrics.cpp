@@ -36,8 +36,6 @@ void register_process_islands(MetricsRegistry& r) {
   mirror("oversize", mp.oversize);
   mirror("headroom_growths", mp.headroom_growths);
   mirror("unshare_copies", mp.unshare_copies);
-  mirror("wire_fastpath", mp.wire_fastpath);
-  mirror("wire_gather", mp.wire_gather);
   mirror("writer_spills", mp.writer_spills);
   mirror("bytes_copied", mp.bytes_copied);
   mirror("packs_built", mp.packs_built);

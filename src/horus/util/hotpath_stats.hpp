@@ -17,8 +17,6 @@ struct MsgPathStats {
   std::atomic<std::uint64_t> oversize{0};      ///< request exceeded pool class
   std::atomic<std::uint64_t> headroom_growths{0};  ///< prepend overflowed
   std::atomic<std::uint64_t> unshare_copies{0};    ///< copy-on-write clones
-  std::atomic<std::uint64_t> wire_fastpath{0};     ///< datagrams built in place
-  std::atomic<std::uint64_t> wire_gather{0};       ///< gather/copy fallback
   std::atomic<std::uint64_t> writer_spills{0};     ///< external Writer overflow
   std::atomic<std::uint64_t> bytes_copied{0};      ///< hot-path memcpy volume
 
@@ -51,9 +49,9 @@ struct MsgPathStats {
     // about), so the seq_cst fences of plain atomic assignment buy nothing.
     for (auto* c :
          {&pool_hits, &pool_misses, &oversize, &headroom_growths,
-          &unshare_copies, &wire_fastpath, &wire_gather, &writer_spills,
-          &bytes_copied, &packs_built, &casts_packed, &flushes_by_size,
-          &flushes_by_count, &flushes_by_timer, &packed_bytes_saved,
+          &unshare_copies, &writer_spills, &bytes_copied, &packs_built,
+          &casts_packed, &flushes_by_size, &flushes_by_count,
+          &flushes_by_timer, &packed_bytes_saved,
           &trains_unpacked, &casts_unpacked, &corrupt_trains,
           &batch_descents, &batched_events, &batch_sends,
           &reconfigs_requested,

@@ -1,16 +1,33 @@
-// The Horus message object: push/pop header stacking, zero-copy payload
-// chains, wire round-trips, and the capture/reinjection path used by
-// logging layers.
+// The Horus message object: header pushing in place, the documented frame
+// layout, wire round-trips, copy-on-write, and the capture/reinjection path
+// used by logging layers.
 #include "horus/core/message.hpp"
 
 #include <gtest/gtest.h>
 
+#include "../common/test_util.hpp"
 #include "horus/core/wirebuf.hpp"
 #include "horus/layers/common.hpp"
+#include "horus/util/crc32.hpp"
 #include "horus/util/hotpath_stats.hpp"
 
 namespace horus {
 namespace {
+
+constexpr std::size_t kPrefix = Stack::kFramePrefix;  // gid + epoch stamp
+
+/// The frame finalize_wire builds, minus its gid/stamp prefix:
+/// [region padded to region_bytes][headers, outermost first][payload].
+Bytes body_of(Message& m, std::size_t region_bytes) {
+  MutByteSpan frame = m.finalize_wire(0, region_bytes, 0);
+  return Bytes(frame.begin() + kPrefix, frame.end());
+}
+
+Bytes cat(std::initializer_list<ByteSpan> parts) {
+  Bytes out;
+  for (ByteSpan p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
 
 TEST(Message, PayloadBasics) {
   Message m = Message::from_string("hello");
@@ -24,8 +41,18 @@ TEST(Message, EmptyMessage) {
   Message m;
   EXPECT_EQ(m.payload_size(), 0u);
   EXPECT_TRUE(m.payload_bytes().empty());
-  Bytes wire = m.to_wire(0);
-  EXPECT_TRUE(wire.empty());
+  EXPECT_TRUE(body_of(m, 0).empty());
+}
+
+// from_payload takes over the caller's bytes as the wire buffer.
+TEST(Message, FromPayloadAdoptsWithoutCopy) {
+  Bytes p = to_bytes("adopted");
+  const std::uint8_t* data = p.data();
+  std::uint64_t copied = msg_path_stats().bytes_copied.load();
+  Message m = Message::from_payload(std::move(p));
+  EXPECT_EQ(m.upper_span().data(), data);
+  EXPECT_EQ(msg_path_stats().bytes_copied.load(), copied);
+  EXPECT_EQ(m.payload_string(), "adopted");
 }
 
 TEST(Message, PushBlocksAppearOutermostFirstOnWire) {
@@ -35,16 +62,16 @@ TEST(Message, PushBlocksAppearOutermostFirstOnWire) {
   Message m = Message::from_string("PP");
   m.push_block(to_bytes("AA"));  // upper layer
   m.push_block(to_bytes("bb"));  // lower layer
-  Bytes wire = m.to_wire(0);
-  EXPECT_EQ(to_string(wire), "bbAAPP");
+  EXPECT_EQ(to_string(body_of(m, 0)), "bbAAPP");
   EXPECT_EQ(m.header_overhead(), 4u);
+  EXPECT_EQ(m.payload_string(), "PP");
 }
 
 TEST(Message, RxPopsInWireOrder) {
   Message tx = Message::from_string("payload");
   tx.push_block(to_bytes("UPPER"));
   tx.push_block(to_bytes("lower"));
-  Message rx = Message::from_wire(tx.to_wire(0), 0);
+  Message rx = Message::from_wire(body_of(tx, 0), 0);
   ASSERT_TRUE(rx.rx());
   // Bottom layer reads its 5 bytes first.
   Reader r1 = rx.reader();
@@ -54,11 +81,12 @@ TEST(Message, RxPopsInWireOrder) {
   EXPECT_EQ(to_string(r2.raw(5)), "UPPER");
   rx.consume(5);
   EXPECT_EQ(rx.payload_string(), "payload");
+  EXPECT_EQ(rx.header_overhead(), 10u);
 }
 
 TEST(Message, WireLengthLimitExcludesTrailer) {
   Message tx = Message::from_string("data");
-  Bytes wire = tx.to_wire(0);
+  Bytes wire = body_of(tx, 0);
   wire.push_back(0xCC);  // transport trailer (e.g. COM's CRC)
   wire.push_back(0xCC);
   auto buf = std::make_shared<const Bytes>(wire);
@@ -71,9 +99,8 @@ TEST(Message, RegionRoundTrip) {
   MutByteSpan region = tx.region_mut(4);
   region[0] = 0xde;
   region[3] = 0xad;
-  Bytes wire = tx.to_wire(4);
-  ASSERT_GE(wire.size(), 5u);
-  EXPECT_EQ(wire[0], 0xde);
+  Bytes wire = body_of(tx, 4);
+  EXPECT_EQ(wire, (Bytes{0xde, 0, 0, 0xad, 'p'}));
   Message rx = Message::from_wire(wire, 4);
   EXPECT_EQ(rx.region().size(), 4u);
   EXPECT_EQ(rx.region()[3], 0xad);
@@ -82,47 +109,19 @@ TEST(Message, RegionRoundTrip) {
 
 TEST(Message, RegionZeroPaddedWhenUnwritten) {
   Message tx = Message::from_string("x");
-  Bytes wire = tx.to_wire(8);  // region never touched
-  ASSERT_EQ(wire.size(), 9u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(wire[static_cast<std::size_t>(i)], 0);
-}
-
-TEST(Message, SlicePayloadZeroCopy) {
-  auto buf = std::make_shared<const Bytes>(to_bytes("0123456789"));
-  Message m = Message::from_shared(buf, 0, 10);
-  Message a = m.slice_payload(0, 4);
-  Message b = m.slice_payload(4, 6);
-  EXPECT_EQ(a.payload_string(), "0123");
-  EXPECT_EQ(b.payload_string(), "456789");
-  // Slices share the original buffer (use_count grows).
-  EXPECT_GE(buf.use_count(), 3);
-}
-
-TEST(Message, SliceAcrossChunks) {
-  // A reassembled message may have a chunked payload; slicing spans chunks.
-  auto b1 = std::make_shared<const Bytes>(to_bytes("abc"));
-  auto b2 = std::make_shared<const Bytes>(to_bytes("defg"));
-  Message m = Message::from_shared(b1, 0, 3);
-  // Build a two-chunk payload via slicing and wire trip instead: compose
-  // manually through upper_wire.
-  Message m2 = Message::from_shared(b2, 0, 4);
-  Bytes joined = m.upper_wire();
-  Bytes j2 = m2.upper_wire();
-  joined.insert(joined.end(), j2.begin(), j2.end());
-  Message whole = Message::from_payload(joined);
-  EXPECT_EQ(whole.slice_payload(2, 3).payload_string(), "cde");
-}
-
-TEST(Message, SliceOutOfRangeThrows) {
-  Message m = Message::from_string("abc");
-  EXPECT_THROW(m.slice_payload(1, 5), std::out_of_range);
-}
-
-TEST(Message, RxSlice) {
-  Message rx = Message::from_wire(to_bytes("hdrPAYLOAD"), 0);
-  rx.consume(3);
-  Message s = rx.slice_payload(3, 4);
-  EXPECT_EQ(s.payload_string(), "LOAD");
+  Bytes wire = body_of(tx, 8);  // region never touched
+  EXPECT_EQ(wire, (Bytes{0, 0, 0, 0, 0, 0, 0, 0, 'x'}));
+  // Partly staged: the unwritten tail is zero too, even in a recycled
+  // buffer whose bytes were dirty.
+  WireBufPool pool(64);
+  {
+    Message dirty = Message::make_linear(pool.acquire(64), 8, 0, to_bytes("d"));
+    MutByteSpan r = dirty.region_mut(8);
+    std::fill(r.begin(), r.end(), 0xff);
+  }
+  Message m = Message::make_linear(pool.acquire(64), 8, 0, to_bytes("y"));
+  m.region_mut(2)[0] = 0x11;
+  EXPECT_EQ(body_of(m, 8), (Bytes{0x11, 0, 0, 0, 0, 0, 0, 0, 'y'}));
 }
 
 TEST(Message, ConsumePastEndThrows) {
@@ -134,31 +133,48 @@ TEST(Message, ShortRegionThrows) {
   EXPECT_THROW(Message::from_wire(to_bytes("ab"), 4), DecodeError);
 }
 
-TEST(Message, UpperWireTxIncludesBlocksAndPayload) {
+TEST(Message, UpperSpanTxIncludesHeadersAndPayload) {
   Message m = Message::from_string("pay");
   m.push_block(to_bytes("h1"));
   m.push_block(to_bytes("h2"));
-  EXPECT_EQ(to_string(m.upper_wire()), "h2h1pay");
+  EXPECT_EQ(to_string(m.upper_span()), "h2h1pay");
 }
 
-TEST(Message, UpperWireRxIsRemainder) {
+TEST(Message, UpperSpanRxIsRemainder) {
   Message rx = Message::from_wire(to_bytes("lowUPPERpay"), 0);
   rx.consume(3);
-  EXPECT_EQ(to_string(rx.upper_wire()), "UPPERpay");
+  EXPECT_EQ(to_string(rx.upper_span()), "UPPERpay");
 }
 
-TEST(Message, CaptureAndReinjectTx) {
-  // The logging path: capture a tx message mid-stack, rebuild it later.
+TEST(Message, FromPartsIsOneRxBuffer) {
+  Message rx = Message::from_parts(to_bytes("RR"), to_bytes("hdrPAY"));
+  ASSERT_TRUE(rx.rx());
+  EXPECT_EQ(to_string(rx.region()), "RR");
+  // Region and rest are adjacent in one buffer.
+  EXPECT_EQ(rx.region().data() + 2, rx.upper_span().data());
+  rx.consume(3);
+  EXPECT_EQ(rx.payload_string(), "PAY");
+}
+
+TEST(Message, CaptureAndReinject) {
+  // The logging path: capture a tx message mid-stack, rebuild it later on
+  // a stack (tx) or re-deliver it above the capturing layer (rx).
   using layers::CapturedMsg;
+  testing::World w(1, "NAK:COM");
+  Stack& stack = w.eps[0]->stack();
   Message m = Message::from_string("body");
   m.push_block(to_bytes("UP"));
   MutByteSpan region = m.region_mut(2);
   region[0] = 0x7f;
   CapturedMsg cap = CapturedMsg::capture(m);
-  // Reinject as tx: content becomes the payload, region re-seeded.
-  Message tx = cap.to_tx();
+  EXPECT_EQ(to_string(cap.region()), std::string("\x7f\0", 2));
+  EXPECT_EQ(to_string(cap.rest()), "UPbody");
+  // Reinject as tx: content becomes the payload, region re-seeded, laid
+  // out with the stack's geometry.
+  Message tx = cap.to_tx(stack);
   EXPECT_EQ(tx.payload_string(), "UPbody");
-  EXPECT_EQ(tx.region_copy()[0], 0x7f);
+  EXPECT_EQ(tx.region()[0], 0x7f);
+  EXPECT_TRUE(tx.fits(stack.region_bytes(), 4));
   // Reinject as rx: positioned exactly above the capturing layer.
   Message rx = cap.to_rx();
   ASSERT_TRUE(rx.rx());
@@ -169,17 +185,21 @@ TEST(Message, CaptureAndReinjectTx) {
   EXPECT_EQ(rx.region()[0], 0x7f);
 }
 
-TEST(Message, CaptureSerializationRoundTrip) {
+// PACK trains and MBRSHIP flush logs carry encode()'s output: its bytes
+// are [varint region length][region][varint rest length][rest].
+TEST(Message, CaptureEncodingIsFixed) {
   using layers::CapturedMsg;
   Message m = Message::from_string("xyz");
   m.push_block(to_bytes("H"));
+  m.region_mut(2)[1] = 0x5a;
   CapturedMsg cap = CapturedMsg::capture(m);
   Writer w;
   cap.encode(w);
+  EXPECT_EQ(w.data(), (Bytes{2, 0x00, 0x5a, 4, 'H', 'x', 'y', 'z'}));
   Reader r(w.data());
   CapturedMsg back = CapturedMsg::decode(r);
-  EXPECT_EQ(back.region, cap.region);
-  EXPECT_EQ(back.rest, cap.rest);
+  EXPECT_EQ(back.buf, cap.buf);
+  EXPECT_EQ(back.region_len, cap.region_len);
 }
 
 TEST(Message, FromWireWithOffsetSkipsFraming) {
@@ -208,12 +228,26 @@ TEST(Message, FromWireOffsetPastEndThrows) {
                DecodeError);
 }
 
-// -- linear (headroom) builder ----------------------------------------------
+// Copying a tx message shares its wire buffer: no payload bytes move.
+TEST(Message, CopySharesBuffer) {
+  Message m = Message::from_payload(Bytes(1000, 7));
+  std::uint64_t copied = msg_path_stats().bytes_copied.load();
+  Message copy = m;
+  EXPECT_EQ(msg_path_stats().bytes_copied.load(), copied);
+  EXPECT_EQ(copy.upper_span().data(), m.upper_span().data());
+  EXPECT_EQ(copy.payload_size(), 1000u);
+}
 
-// Build the same message twice -- once chunked (legacy gather path), once
-// linear (headroom builder) -- and check the wire bytes agree.
-TEST(MessageLinear, FinalizeMatchesLegacyToWire) {
+// -- the headroom buffer ----------------------------------------------------
+
+// The documented frame, byte for byte: [gid LE][stamp LE][region padded]
+// [headers, outermost first][payload][trailer room].
+TEST(MessageLinear, FinalizeBuildsDocumentedFrame) {
   constexpr std::size_t kRegion = 4;
+  const Bytes want_body = cat({Bytes{0xaa, 0x00, 0xbb, 0x00}, to_bytes("out"),
+                               to_bytes("INNER"), to_bytes("payload")});
+  const Bytes want_prefix = {0x88, 0x77, 0x66, 0x55, 0x44, 0x33,
+                             0x22, 0x11, 0x0b, 0x0a};
   auto build = [](Message& m) {
     MutByteSpan region = m.region_mut(kRegion);
     region[0] = 0xaa;
@@ -222,58 +256,48 @@ TEST(MessageLinear, FinalizeMatchesLegacyToWire) {
     m.push_block(to_bytes("out"));
   };
 
-  Message legacy = Message::from_string("payload");
-  build(legacy);
-  Bytes want = legacy.to_wire(kRegion);
-
   WireBufPool pool(256);
-  Message lin = Message::from_string("payload");
-  ASSERT_TRUE(lin.linearize(pool.acquire(256), kRegion, /*tailroom=*/2));
-  ASSERT_TRUE(lin.linear());
+  Message lin = Message::make_linear(pool.acquire(256), kRegion,
+                                     /*tailroom=*/2, to_bytes("payload"));
   build(lin);
-  EXPECT_EQ(lin.to_wire(kRegion), want);  // gather from linear form agrees
-
   MutByteSpan frame = lin.finalize_wire(0x1122334455667788ull, kRegion, 2,
                                         /*epoch_stamp=*/0x0a0b);
-  ASSERT_NE(frame.data(), nullptr);
-  ASSERT_EQ(frame.size(), 10 + want.size() + 2);
-  EXPECT_EQ(frame[0], 0x88);  // gid little-endian
-  EXPECT_EQ(frame[7], 0x11);
-  EXPECT_EQ(frame[8], 0x0b);  // stack-epoch stamp little-endian
-  EXPECT_EQ(frame[9], 0x0a);
-  EXPECT_EQ(Bytes(frame.begin() + 10, frame.end() - 2), want);
+  ASSERT_EQ(frame.size(), kPrefix + want_body.size() + 2);
+  EXPECT_EQ(Bytes(frame.begin(), frame.begin() + kPrefix), want_prefix);
+  EXPECT_EQ(Bytes(frame.begin() + kPrefix, frame.end() - 2), want_body);
 
   // finalize_wire is repeatable (retransmission) and leaves content intact.
   MutByteSpan again = lin.finalize_wire(0x1122334455667788ull, kRegion, 2,
                                         /*epoch_stamp=*/0x0a0b);
-  EXPECT_EQ(Bytes(again.begin() + 10, again.end() - 2), want);
+  EXPECT_EQ(Bytes(again.begin(), again.end() - 2),
+            cat({want_prefix, want_body}));
   EXPECT_EQ(lin.payload_string(), "payload");
+
+  // An adopted payload with no headroom or tailroom yet builds the same
+  // frame: the buffer grows to fit.
+  Message adopted = Message::from_string("payload");
+  build(adopted);
+  MutByteSpan f2 = adopted.finalize_wire(0x1122334455667788ull, kRegion, 2,
+                                         /*epoch_stamp=*/0x0a0b);
+  EXPECT_EQ(Bytes(f2.begin(), f2.end() - 2), cat({want_prefix, want_body}));
 }
 
-// linearize absorbs blocks pushed before the message reached the stack
-// boundary (mid-stack-originated control messages), preserving wire order.
-TEST(MessageLinear, LinearizeAbsorbsExistingBlocks) {
-  Message legacy = Message::from_string("pp");
-  legacy.push_block(to_bytes("AA"));
-  legacy.push_block(to_bytes("bb"));
-  Bytes want = legacy.to_wire(0);
-
+// move_to (the stack's fit) carries region, headers and the header/payload
+// split into the new buffer; later pushes land outside, in order.
+TEST(MessageLinear, MoveToKeepsRegionHeadersAndPayload) {
+  Message m = Message::from_string("pp");
+  m.region_mut(1)[0] = 0x42;
+  m.push_block(to_bytes("AA"));
+  m.push_block(to_bytes("bb"));
   WireBufPool pool(128);
-  Message lin = Message::from_string("pp");
-  lin.push_block(to_bytes("AA"));
-  lin.push_block(to_bytes("bb"));
-  ASSERT_TRUE(lin.linearize(pool.acquire(128), 0, 0));
-  EXPECT_EQ(lin.to_wire(0), want);
-  lin.push_block(to_bytes("cc"));  // later pushes land outside, in order
-  EXPECT_EQ(to_string(lin.to_wire(0)), "ccbbAApp");
-}
-
-TEST(MessageLinear, LinearizeRejectsOversize) {
-  WireBufPool pool(16);
-  Message m = Message::from_string("this payload is far too large");
-  EXPECT_FALSE(m.linearize(pool.acquire(16), 0, 0));
-  EXPECT_FALSE(m.linear());  // unchanged; gather path still works
-  EXPECT_EQ(m.payload_string(), "this payload is far too large");
+  m.move_to(pool.acquire(128), 4, 2);
+  EXPECT_TRUE(m.fits(4, 2));
+  EXPECT_FALSE(m.fits(5, 2));
+  EXPECT_EQ(m.payload_string(), "pp");
+  EXPECT_EQ(m.header_overhead(), 1u + 4u);
+  EXPECT_EQ(body_of(m, 4), cat({Bytes{0x42, 0, 0, 0}, to_bytes("bbAApp")}));
+  m.push_block(to_bytes("cc"));
+  EXPECT_EQ(body_of(m, 4), cat({Bytes{0x42, 0, 0, 0}, to_bytes("ccbbAApp")}));
 }
 
 // Headroom overflow degrades gracefully: the message moves to a larger
@@ -282,91 +306,165 @@ TEST(MessageLinear, HeadroomOverflowGrows) {
   auto& growths = msg_path_stats().headroom_growths;
   std::uint64_t before = growths.load();
   WireBufPool pool(32);
-  Message m = Message::from_string("p");
-  ASSERT_TRUE(m.linearize(pool.acquire(32), 0, 0));
+  Message m = Message::make_linear(pool.acquire(32), 0, 0, to_bytes("p"));
   Bytes big(64, 0x5a);
-  m.push_block(big);  // cannot fit in 32 bytes of headroom
-  EXPECT_TRUE(m.linear());
+  m.push_block(big);  // cannot fit in 31 bytes of headroom
   EXPECT_GT(growths.load(), before);
-  Bytes wire = m.to_wire(0);
-  ASSERT_EQ(wire.size(), 65u);
-  EXPECT_EQ(wire[0], 0x5a);
-  EXPECT_EQ(wire[64], static_cast<std::uint8_t>('p'));
+  EXPECT_EQ(body_of(m, 0), cat({big, to_bytes("p")}));
 }
 
-// Copies of a linear message share the wire buffer; the first mutation of
-// a shared buffer clones it, leaving the other copy untouched.
+// Copies of a tx message share the wire buffer; the first mutation of a
+// shared buffer clones it, leaving the other copy untouched.
 TEST(MessageLinear, CopyOnWrite) {
   auto& cows = msg_path_stats().unshare_copies;
   std::uint64_t before = cows.load();
   WireBufPool pool(128);
-  Message a = Message::from_string("body");
-  ASSERT_TRUE(a.linearize(pool.acquire(128), 0, 0));
+  Message a = Message::make_linear(pool.acquire(128), 0, 0, to_bytes("body"));
   a.push_block(to_bytes("H1"));
   Message b = a;  // shares the buffer
   b.push_block(to_bytes("H2"));  // must not disturb a
   EXPECT_GT(cows.load(), before);
-  EXPECT_EQ(to_string(a.to_wire(0)), "H1body");
-  EXPECT_EQ(to_string(b.to_wire(0)), "H2H1body");
-}
-
-TEST(MessageLinear, SlicePayload) {
-  WireBufPool pool(128);
-  Message m = Message::from_string("0123456789");
-  ASSERT_TRUE(m.linearize(pool.acquire(128), 0, 0));
-  Message a = m.slice_payload(0, 4);
-  Message b = m.slice_payload(4, 6);
-  EXPECT_EQ(a.payload_string(), "0123");
-  EXPECT_EQ(b.payload_string(), "456789");
+  EXPECT_EQ(to_string(a.upper_span()), "H1body");
+  EXPECT_EQ(to_string(b.upper_span()), "H2H1body");
+  Message c = a;
+  c.region_mut(1)[0] = 0x01;  // a region write clones too
+  EXPECT_TRUE(a.region().empty());
 }
 
 TEST(MessageLinear, MakeLinearRoundTrip) {
   WireBufPool pool(128);
   Bytes payload = to_bytes("direct");
   Message m = Message::make_linear(pool.acquire(128), 0, 0, ByteSpan(payload));
-  ASSERT_TRUE(m.linear());
   EXPECT_EQ(m.payload_string(), "direct");
   MutByteSpan hdr = m.prepend(3);
-  ASSERT_NE(hdr.data(), nullptr);
   hdr[0] = 'h';
   hdr[1] = 'd';
   hdr[2] = 'r';
   MutByteSpan frame = m.finalize_wire(7, 0, 0);
-  ASSERT_NE(frame.data(), nullptr);
   Message rx = Message::from_wire(ByteSpan(frame), 0);
   Reader r = rx.reader();
   EXPECT_EQ(r.u64(), 7u);   // gid prefix
   EXPECT_EQ(r.u16(), 0u);   // default stack-epoch stamp
-  rx.consume(10);
+  rx.consume(kPrefix);
   Reader r2 = rx.reader();
   EXPECT_EQ(to_string(r2.raw(3)), "hdr");
   rx.consume(3);
   EXPECT_EQ(rx.payload_string(), "direct");
 }
 
-// Growing the region past its staged capacity abandons the linear form but
-// keeps the logical content (rare escape hatch).
-TEST(MessageLinear, RegionOverflowDelinearizes) {
+// Growing the region past its staging capacity moves the message to a
+// larger buffer, keeping the staged bytes, the headers and the payload.
+TEST(MessageLinear, RegionOverflowRelayouts) {
   WireBufPool pool(128);
-  Message m = Message::from_string("p");
-  ASSERT_TRUE(m.linearize(pool.acquire(128), 2, 0));
+  Message m = Message::make_linear(pool.acquire(128), 2, 0, to_bytes("p"));
+  m.region_mut(2)[0] = 0x11;
   m.push_block(to_bytes("HH"));
   MutByteSpan region = m.region_mut(6);  // > staged cap of 2
   ASSERT_EQ(region.size(), 6u);
   region[5] = 0x42;
-  EXPECT_FALSE(m.linear());
-  Bytes wire = m.to_wire(6);
-  EXPECT_EQ(wire[5], 0x42);
-  EXPECT_EQ(to_string(Bytes(wire.begin() + 6, wire.end())), "HHp");
+  EXPECT_TRUE(m.fits(6, 0));
+  EXPECT_EQ(body_of(m, 6),
+            cat({Bytes{0x11, 0, 0, 0, 0, 0x42}, to_bytes("HHp")}));
 }
 
-TEST(Message, CopyShareChunks) {
-  auto buf = std::make_shared<const Bytes>(Bytes(1000, 7));
-  long before = buf.use_count();
-  Message m = Message::from_shared(buf, 0, 1000);
-  Message copy = m;  // copying a message must not copy payload bytes
-  EXPECT_EQ(buf.use_count(), before + 2);
-  EXPECT_EQ(copy.payload_size(), 1000u);
+// -- oversize payloads and mid-stack control messages -----------------------
+
+/// Records every datagram the network delivers to each node, then hands it
+/// on exactly as SimTransport's handler does.
+struct Tap {
+  std::vector<Bytes> frames;
+  explicit Tap(testing::World& w) {
+    for (Endpoint* ep : w.eps) {
+      w.sys.net().attach(
+          ep->address().id,
+          [this, ep](sim::NodeId src, std::shared_ptr<const Bytes> d) {
+            frames.push_back(*d);
+            ep->deliver_datagram(Address{src}, std::move(d));
+          });
+    }
+  }
+};
+
+/// A group with a fixed view of every endpoint (the stacks here have no
+/// membership layer).
+void install_static_view(testing::World& w) {
+  std::vector<Address> all;
+  for (Endpoint* ep : w.eps) {
+    ep->join(testing::kGroup);
+    all.push_back(ep->address());
+  }
+  for (Endpoint* ep : w.eps) ep->install_view(testing::kGroup, all);
+}
+
+/// Checks one COM frame: gid prefix, the stack's epoch stamp, CRC trailer.
+void expect_com_frame(const Bytes& f, const Stack& stack) {
+  ASSERT_GE(f.size(), kPrefix + stack.region_bytes() + 4);
+  Reader r(f);
+  EXPECT_EQ(r.u64(), testing::kGroup.id);
+  EXPECT_EQ(r.u16(), stack.epoch_stamp());
+  Reader trailer(ByteSpan(f).last(4));
+  EXPECT_EQ(crc32(ByteSpan(f).first(f.size() - 4)), trailer.u32());
+}
+
+// A payload larger than the pool's buffer class, on a stack with no
+// fragmentation layer: it gets an unpooled buffer with the stack's
+// geometry and is framed in place like any other cast.
+TEST(MessageGeometry, OversizeCastWithoutFragIsFramedInPlace) {
+  HorusSystem::Options o;
+  o.net.mtu = 8192;  // the stack's MTU, which sizes its pool, stays 1400
+  testing::World w(2, "NAK:COM", o);
+  install_static_view(w);
+  w.sys.run_for(10 * sim::kMillisecond);
+  w.eps[0]->cast(testing::kGroup, Message::from_string("warm the pools"));
+  w.sys.run_for(50 * sim::kMillisecond);
+  Tap tap(w);
+  Stack& stack = w.eps[0]->stack();
+  Bytes big(4096);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 13);
+  }
+  std::uint64_t oversize = msg_path_stats().oversize.load();
+  std::uint64_t misses = msg_path_stats().pool_misses.load();
+  std::uint64_t sent = stack.stats().datagrams_sent.load();
+  w.eps[0]->cast(testing::kGroup, Message::from_payload(big));
+  w.sys.run_for(sim::kMillisecond);
+  EXPECT_EQ(stack.stats().datagrams_sent.load(), sent + 2);  // both members
+  EXPECT_GT(msg_path_stats().oversize.load(), oversize);
+  EXPECT_EQ(msg_path_stats().pool_misses.load(), misses);
+  int casts = 0;
+  for (const Bytes& f : tap.frames) {
+    expect_com_frame(f, stack);
+    // Prefix, region, payload, CRC: the cast (the rest is NAK status).
+    if (f.size() != kPrefix + stack.region_bytes() + big.size() + 4) continue;
+    ++casts;
+    EXPECT_EQ(Bytes(f.end() - 4 - static_cast<std::ptrdiff_t>(big.size()),
+                    f.end() - 4),
+              big);
+  }
+  EXPECT_EQ(casts, 2);
+  ASSERT_EQ(w.logs[1].casts.size(), 2u);
+  EXPECT_EQ(w.logs[1].casts[1].payload, to_string(big));
+}
+
+// A control message built mid-stack (NAK's status report: no app payload,
+// originated below the top layer) leaves through the same in-place framing.
+TEST(MessageGeometry, ControlMessageBuiltMidStackIsFramedInPlace) {
+  testing::World w(2, "NAK:COM");
+  install_static_view(w);
+  Tap tap(w);
+  Stack& stack = w.eps[0]->stack();
+  std::uint64_t sent = stack.stats().datagrams_sent.load();
+  w.sys.run_for(100 * sim::kMillisecond);  // idle: status reports only
+  EXPECT_GT(stack.stats().datagrams_sent.load(), sent);
+  EXPECT_TRUE(w.logs[1].casts.empty());
+  ASSERT_FALSE(tap.frames.empty());
+  for (const Bytes& f : tap.frames) expect_com_frame(f, stack);
+  // Every one of them was accepted by the receiving COM.
+  std::uint64_t received = 0;
+  for (Endpoint* ep : w.eps) {
+    received += ep->stack().stats().datagrams_received.load();
+  }
+  EXPECT_EQ(received, tap.frames.size());
 }
 
 }  // namespace
