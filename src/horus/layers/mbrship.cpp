@@ -10,6 +10,11 @@ namespace {
 
 using props::Property;
 
+/// A member gossips its delivery vector after this many deliveries as well
+/// as on the timer, so the unstable log holds a bounded number of casts
+/// whatever the cast rate.
+constexpr std::uint64_t kGossipEvery = 512;
+
 LayerInfo make_info() {
   LayerInfo li;
   li.name = "MBRSHIP";
@@ -381,6 +386,7 @@ void Mbrship::deliver_data(Group& g, State& st, const Address& src,
   }
   got = vseq;
   st.log[src][vseq] = CapturedMsg::capture(ev.msg);
+  if (++st.since_gossip >= kGossipEvery) gossip_news(g, st);
   UpEvent out;
   out.type = UpType::kCast;
   out.source = src;
@@ -1057,13 +1063,18 @@ void Mbrship::arm_gossip(Group& g, State& st) {
   st.gossip_timer = stack().schedule(
       g.gid(), stack().config().stability_gossip_interval, [this](Group& gg) {
         State& s2 = state<State>(gg);
-        if (s2.phase == Phase::kNormal && gg.view().size() > 1 &&
-            !s2.flushing && s2.delivered != s2.gossiped) {
-          send_gossip(gg, s2);
-          s2.gossiped = s2.delivered;
-        }
+        gossip_news(gg, s2);
         arm_gossip(gg, s2);
       });
+}
+
+void Mbrship::gossip_news(Group& g, State& st) {
+  if (st.phase == Phase::kNormal && g.view().size() > 1 && !st.flushing &&
+      st.delivered != st.gossiped) {
+    send_gossip(g, st);
+    st.gossiped = st.delivered;
+    st.since_gossip = 0;
+  }
 }
 
 void Mbrship::send_gossip(Group& g, State& st) {

@@ -84,6 +84,7 @@ class Mbrship final : public Layer {
     /// `delivered` as last gossiped (gossip rides NAK, so it is reliable:
     /// an unchanged vector has nothing new to say).
     std::map<Address, std::uint64_t> gossiped;
+    std::uint64_t since_gossip = 0;  ///< casts delivered since the last gossip
 
     // Flush machinery.
     bool flushing = false;
@@ -174,6 +175,8 @@ class Mbrship final : public Layer {
   void arm_watchdog(Group& g, State& st);
   void arm_gossip(Group& g, State& st);
   void send_gossip(Group& g, State& st);
+  /// Gossip the delivery vector if it changed and the view is settled.
+  void gossip_news(Group& g, State& st);
 
   LayerInfo info_;
 };

@@ -115,6 +115,8 @@ void Nak::ensure_epoch(Group& g, State& st) {
   if (e == st.epoch) return;
   st.epoch = e;
   st.cast_out_seq = 0;
+  st.acked_floor = 0;
+  st.asked_seq = 0;
   // Retire retransmit buffers more than one epoch old.
   for (auto it = st.cast_buf.begin(); it != st.cast_buf.end();) {
     if (it->first.first + 1 < e) {
@@ -168,7 +170,15 @@ void Nak::send_cast_now(Group& g, State& st, Message msg) {
   if (st.cast_buf.size() > stack().config().nak_max_retain) {
     st.cast_buf.erase(st.cast_buf.begin());
   }
-  std::uint64_t fields[] = {kData, 0, st.epoch, seq};
+  // Ask for status once half the window is in flight, unless an earlier
+  // ask is still unanswered.
+  std::uint64_t kind = kData;
+  if (st.asked_seq <= st.acked_floor &&
+      seq >= st.acked_floor + stack().config().nak_window / 2) {
+    kind = kAsk;
+    st.asked_seq = seq;
+  }
+  std::uint64_t fields[] = {kind, 0, st.epoch, seq};
   stack().push_header(msg, *this, fields);
   DownEvent out;
   out.type = DownType::kCast;
@@ -207,10 +217,9 @@ void Nak::up(Group& g, UpEvent& ev) {
   p.last_heard = stack().now();
   switch (kind) {
     case kData:
-      handle_data(g, st, ev, stream, epoch, seq, /*placeholder=*/false);
-      return;
+    case kAsk:
     case kPlaceholder:
-      handle_data(g, st, ev, stream, epoch, seq, /*placeholder=*/true);
+      handle_data(g, st, ev, stream, epoch, seq, kind);
       return;
     case kNakReq:
       handle_nakreq(g, st, ev.source, ev.msg.reader());
@@ -224,34 +233,46 @@ void Nak::up(Group& g, UpEvent& ev) {
 }
 
 void Nak::handle_data(Group& g, State& st, UpEvent& ev, std::uint64_t stream,
-                      std::uint64_t epoch, std::uint64_t seq, bool placeholder) {
-  PeerState& p = st.peers[ev.source];
+                      std::uint64_t epoch, std::uint64_t seq, std::uint64_t kind) {
+  const Address src = ev.source;
+  PeerState& p = st.peers[src];
   StreamIn& in = stream == 0 ? p.cast_in[epoch] : p.send_in;
   if (stream == 0) p.latest_epoch = std::max(p.latest_epoch, epoch);
   in.known_max = std::max(in.known_max, seq);
-  if (seq < in.expected) return;  // duplicate
+  if (kind == kAsk) in.ask_seq = std::max(in.ask_seq, seq);
   if (seq > in.expected) {
-    in.ooo.emplace(seq, placeholder ? std::nullopt
-                                    : std::optional<Message>(std::move(ev.msg)));
+    in.ooo.emplace(seq, kind == kPlaceholder
+                            ? std::nullopt
+                            : std::optional<Message>(std::move(ev.msg)));
     watch_gap(g, st, in);
     return;
   }
-  // In order: deliver, then drain the out-of-order buffer.
-  ++in.expected;
-  if (placeholder) {
-    UpEvent lost;
-    lost.type = UpType::kLostMessage;
-    lost.source = ev.source;
-    lost.msg_id = seq;
-    pass_up(g, lost);
-  } else {
-    ++st.delivered_count;
-    ev.type = stream == 0 ? UpType::kCast : UpType::kSend;
-    ev.msg_id = seq;
-    pass_up(g, ev);
+  if (seq == in.expected) {
+    // In order: deliver, then drain the out-of-order buffer.
+    ++in.expected;
+    if (kind == kPlaceholder) {
+      UpEvent lost;
+      lost.type = UpType::kLostMessage;
+      lost.source = src;
+      lost.msg_id = seq;
+      pass_up(g, lost);
+    } else {
+      ++st.delivered_count;
+      ev.type = stream == 0 ? UpType::kCast : UpType::kSend;
+      ev.msg_id = seq;
+      pass_up(g, ev);
+    }
+    deliver_ready(g, st, src, stream == 0, epoch, in);
+    watch_gap(g, st, in);
+  }  // else a duplicate: delivered already
+  // Answer an ask once the stream is delivered through it, so that the
+  // status acks the asked cast even if it overtook earlier ones.
+  if (in.ask_seq != 0 && in.ask_seq < in.expected) {
+    in.ask_seq = 0;
+    if (src != stack().address()) {
+      send_control(g, src, kStatus, 0, st.epoch, 0, status_report(g, st));
+    }
   }
-  deliver_ready(g, st, ev.source, stream == 0, epoch, in);
-  watch_gap(g, st, in);
 }
 
 void Nak::deliver_ready(Group& g, State& st, const Address& src, bool is_cast,
@@ -335,7 +356,7 @@ void Nak::handle_nakreq(Group& g, State& st, const Address& src, Reader r) {
   }
 }
 
-void Nak::send_status(Group& g, State& st) {
+Bytes Nak::status_report(Group& g, State& st) {
   ensure_epoch(g, st);
   Writer w;
   w.varint(st.epoch);
@@ -379,11 +400,15 @@ void Nak::send_status(Group& g, State& st) {
   }
   w.varint(nout);
   w.raw(outs.data());
+  return w.take();
+}
 
+void Nak::send_status(Group& g, State& st) {
+  const Bytes report = status_report(g, st);
   Address self = stack().address();
   for (const Address& m : g.view().members()) {
     if (m == self) continue;
-    send_control(g, m, kStatus, 0, st.epoch, 0, w.data());
+    send_control(g, m, kStatus, 0, st.epoch, 0, report);
   }
 
   // Failure detection: a member whose traffic (data or status) has not been
@@ -461,21 +486,13 @@ void Nak::handle_status(Group& g, State& st, const Address& src, Reader r) {
         watch_gap(g, st, p.send_in);
       }
     }
-    // GC the multicast retransmit buffer and release flow-controlled casts.
+    // GC the current epoch's multicast retransmit buffer and release
+    // flow-controlled casts. The previous epoch's buffer stays (ensure_epoch
+    // retires it): a member still flushing that view may NAK it.
     std::uint64_t acked = min_cast_acked(g, st);
-    while (!st.cast_buf.empty()) {
-      auto it = st.cast_buf.begin();
-      if (it->first.first == st.epoch && it->first.second > acked) break;
-      if (it->first.first >= st.epoch) break;
-      st.cast_buf.erase(it);
-    }
-    for (auto it = st.cast_buf.begin(); it != st.cast_buf.end();) {
-      if (it->first.first == st.epoch && it->first.second <= acked) {
-        it = st.cast_buf.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    st.acked_floor = acked;
+    st.cast_buf.erase(st.cast_buf.lower_bound({st.epoch, 0}),
+                      st.cast_buf.upper_bound({st.epoch, acked}));
     drain_pending(g, st);
   } catch (const DecodeError&) {
     // malformed status: ignore
@@ -571,6 +588,7 @@ void Nak::dump(Group& g, std::string& out) const {
          " cast_out=" + std::to_string(st.cast_out_seq) +
          " buffered=" + std::to_string(st.cast_buf.size()) +
          " pending=" + std::to_string(st.pending.size()) +
+         " asked=" + std::to_string(st.asked_seq) +
          " delivered=" + std::to_string(st.delivered_count) +
          " retrans=" + std::to_string(st.retransmissions) + "\n";
 }

@@ -29,6 +29,19 @@
 // nak_resend_timeout. A gap arms the group's one repair timer for the
 // earliest due NAK; the timer re-arms only while some gap remains, so an
 // idle group runs none.
+//
+// Status and flow control. Every nak_status_interval a member sends each
+// peer its status: its own cast extent and, per stream, how far it has
+// received. A sender keeps at most nak_window casts past the lowest ack of
+// its current epoch in flight; later casts queue until a status opens the
+// window. So that the window does not wait a whole status interval, a cast
+// sent at or past half a window beyond that ack asks for status (kind
+// kAsk), as long as no earlier ask is outstanding; each receiver answers
+// it with its status as soon as it has delivered the stream through it. A
+// lost ask or answer costs only speed: the periodic status opens the
+// window as before. A status also frees the acked part of the current
+// epoch's retransmit buffer; the previous epoch's buffer stays until the
+// next view, since a member still flushing that view may NAK it.
 #pragma once
 
 #include <deque>
@@ -60,6 +73,7 @@ class Nak final : public Layer {
   static constexpr std::uint64_t kNakReq = 1;
   static constexpr std::uint64_t kStatus = 2;
   static constexpr std::uint64_t kPlaceholder = 3;
+  static constexpr std::uint64_t kAsk = 4;  ///< kData that asks for status
 
   /// Inbound reassembly state for one (source, stream[, epoch]).
   struct StreamIn {
@@ -69,6 +83,7 @@ class Nak final : public Layer {
     std::uint64_t known_max = 0;  ///< highest seq known to exist
     sim::Time nak_due = 0;        ///< when the open gap is next NAKed
     std::uint64_t nak_head = 0;   ///< the `expected` nak_due was set for
+    std::uint64_t ask_seq = 0;    ///< status owed once delivered past this
   };
 
   struct PeerState {
@@ -90,6 +105,8 @@ class Nak final : public Layer {
     std::uint64_t cast_out_seq = 0;   ///< within current epoch
     std::map<std::pair<std::uint64_t, std::uint64_t>, CapturedMsg> cast_buf;
     std::deque<Message> pending;      ///< casts awaiting flow-control window
+    std::uint64_t acked_floor = 0;    ///< min_cast_acked at the last status
+    std::uint64_t asked_seq = 0;      ///< the last cast sent as kAsk
     sim::TimerId status_timer = 0;
     sim::TimerId repair_timer = 0;  ///< 0 while not armed
     sim::Time repair_at = 0;        ///< when repair_timer fires
@@ -109,12 +126,13 @@ class Nak final : public Layer {
   void deliver_ready(Group& g, State& st, const Address& src, bool is_cast,
                      std::uint64_t epoch, StreamIn& in);
   void handle_data(Group& g, State& st, UpEvent& ev, std::uint64_t stream,
-                   std::uint64_t epoch, std::uint64_t seq, bool placeholder);
+                   std::uint64_t epoch, std::uint64_t seq, std::uint64_t kind);
   void handle_nakreq(Group& g, State& st, const Address& src, Reader r);
   void handle_status(Group& g, State& st, const Address& src, Reader r);
   void send_control(Group& g, const Address& dst, std::uint64_t kind,
                     std::uint64_t stream, std::uint64_t epoch,
                     std::uint64_t seq, ByteSpan payload);
+  Bytes status_report(Group& g, State& st);
   void send_status(Group& g, State& st);
   void nak_stream(Group& g, const Address& src, std::uint64_t stream,
                   std::uint64_t epoch, const StreamIn& in);

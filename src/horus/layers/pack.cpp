@@ -26,10 +26,11 @@ LayerInfo make_info() {
   return li;
 }
 
-/// Encoded size of one train element (CapturedMsg::encode framing).
-std::size_t element_size(const CapturedMsg& c) {
-  return varint_size(c.region().size()) + c.region().size() +
-         varint_size(c.rest().size()) + c.rest().size();
+/// Encoded size of `m` as one train element (CapturedMsg::encode framing).
+std::size_t element_size(const Message& m) {
+  const std::size_t region = m.region().size();
+  const std::size_t rest = m.upper_span().size();
+  return varint_size(region) + region + varint_size(rest) + rest;
 }
 
 }  // namespace
@@ -156,8 +157,7 @@ void Pack::down(Group& g, DownEvent& ev) {
     pass_through(g, ev, st);  // packing disabled: zero added latency
     return;
   }
-  CapturedMsg c = CapturedMsg::capture(ev.msg);
-  std::size_t elem = element_size(c);
+  std::size_t elem = element_size(ev.msg);
   std::size_t limit = budget();
   if (elem > limit) {
     // Oversize cast: pass it through alone (FRAG below will slice it);
@@ -171,7 +171,7 @@ void Pack::down(Group& g, DownEvent& ev) {
   if (!st.pending.empty() && st.pending_bytes + elem > limit) {
     flush(g, st, FlushReason::kSize);
   }
-  st.pending.push_back(std::move(c));
+  st.pending.push_back(CapturedMsg::capture(ev.msg));
   st.pending_bytes += elem;
   if (st.pending.size() >= pc.max_count) {
     flush(g, st, FlushReason::kCount);

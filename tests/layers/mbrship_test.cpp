@@ -292,6 +292,40 @@ TEST(Mbrship, JoinReqBeforeOwnJoinDoesNotOrphanTheJoiner) {
       << joiner_log.views.back().to_string();
 }
 
+TEST(Mbrship, GossipBoundsLogUnderBurst) {
+  // A member gossips its delivery vector every few hundred deliveries as
+  // well as on the timer, so the unstable log stays bounded by a count
+  // however fast casts arrive. The timer is pushed past the burst here, so
+  // only the count can prune the log.
+  HorusSystem::Options o = quiet();
+  o.stack.stability_gossip_interval = 10 * sim::kSecond;
+  World w(3, "MBRSHIP:FRAG:NAK:COM", o);
+  w.form_group();
+  ASSERT_TRUE(w.converged());
+  auto log_of = [&w](std::size_t m) {
+    std::string d = w.eps[m]->dump(kGroup, "MBRSHIP");
+    return static_cast<std::uint64_t>(std::stoull(d.substr(d.find("log=") + 4)));
+  };
+  constexpr int kCasts = 5000;
+  std::uint64_t peak = 0;
+  for (int i = 0; i < kCasts; ++i) {
+    w.eps[0]->cast(kGroup, Message::from_string(std::to_string(i)));
+    w.sys.run_for(10);
+    if (i % 100 == 99) {
+      for (std::size_t m = 0; m < 3; ++m) peak = std::max(peak, log_of(m));
+    }
+  }
+  w.sys.run_for(sim::kSecond);
+  for (std::size_t m = 0; m < 3; ++m) {
+    EXPECT_EQ(w.logs[m].casts_from(w.eps[0]->address()).size(),
+              static_cast<std::size_t>(kCasts)) << "member " << m;
+  }
+  EXPECT_GT(peak, 0u);
+  // Twice MBRSHIP's gossip count (512): a gossip round plus the casts
+  // delivered while it travels.
+  EXPECT_LE(peak, 1024u) << "the log grew with the burst";
+}
+
 TEST(Mbrship, IdleGroupStopsGossiping) {
   // Gossip rides NAK, so it is reliable: a delivery vector that has not
   // changed since it was last gossiped says nothing new. Once one round

@@ -2,6 +2,7 @@
 // negative acknowledgements, window flow control, LOST_MESSAGE
 // placeholders, failure suspicion, and epoch handling across views.
 #include <algorithm>
+#include <set>
 
 #include "../common/test_util.hpp"
 #include "horus/obs/metrics.hpp"
@@ -262,12 +263,15 @@ struct DropChosen final : sim::FaultPolicy {
   int dropped = 0;
 };
 
-std::uint64_t retrans_of(Endpoint& ep) {
+// One numeric field ("retrans=", "asked=", ...) of an endpoint's NAK dump.
+std::uint64_t nak_field(Endpoint& ep, const std::string& field) {
   std::string d = ep.dump(kGroup, "NAK");
-  auto at = d.find("retrans=");
+  auto at = d.find(" " + field);
   EXPECT_NE(at, std::string::npos) << d;
-  return std::stoull(d.substr(at + 8));
+  return std::stoull(d.substr(at + 1 + field.size()));
 }
+
+std::uint64_t retrans_of(Endpoint& ep) { return nak_field(ep, "retrans="); }
 
 // The receiver NAKs a lost cast as soon as the reorder allowance after it
 // sees the gap runs out, not on some later periodic scan.
@@ -361,6 +365,121 @@ TEST(Nak, IdleGroupRunsNoRepairTimer) {
       kMembers * (sim::kSecond / o.stack.nak_status_interval);
   EXPECT_EQ(datagrams, status_fires * (kMembers - 1)) << "status gossip only";
   EXPECT_EQ(events, status_fires + datagrams);
+}
+
+// One sender, a burst far beyond the window. Were the window opened only by
+// the periodic status (256 casts per 20 ms), 3000 casts would take at
+// least 3000 / 256 * 20 ms ~ 234 ms to deliver. A cast at half a window
+// asks the receivers for their status, so the burst flows at its own rate.
+TEST(Nak, AskedStatusKeepsWindowOpen) {
+  HorusSystem::Options o;
+  o.net.loss = 0.0;
+  o.net.delay_min = 100;
+  o.net.delay_max = 100;
+  NakWorld w(3, o);
+  constexpr std::size_t kCasts = 3000;
+  const sim::Time start = w.sys.now();
+  for (std::size_t i = 0; i < kCasts; ++i) {
+    w.eps[0]->cast(kGroup, Message::from_string(std::to_string(i)));
+    w.sys.run_for(10);
+  }
+  auto all_delivered = [&w] {
+    for (const AppLog& l : w.logs) {
+      if (l.casts.size() < kCasts) return false;
+    }
+    return true;
+  };
+  while (!all_delivered() && w.sys.now() - start < sim::kSecond) {
+    w.sys.run_for(sim::kMillisecond);
+  }
+  ASSERT_TRUE(all_delivered());
+  EXPECT_LE(w.sys.now() - start, 40 * sim::kMillisecond);
+  for (const AppLog& l : w.logs) {
+    auto got = l.casts_from(w.eps[0]->address());
+    for (std::size_t i = 0; i < kCasts; ++i) EXPECT_EQ(got[i], std::to_string(i));
+  }
+}
+
+// Drops every datagram that carries one of `sender`'s status asks. The
+// ask is the cast being sent when the sender's last ask equals its last
+// cast; a later retransmission of that cast passes.
+struct DropAsks final : sim::FaultPolicy {
+  DropAsks(std::uint64_t seed, Endpoint& sender) : rng(seed), sender(sender) {}
+  sim::FaultDecision decide(std::uint64_t index, sim::NodeId s, sim::NodeId d,
+                            std::size_t size, const sim::LinkParams& p) override {
+    sim::FaultDecision f = rng.decide(index, s, d, size, p);
+    if (s == sender.address().id && d != s && size >= 300) {
+      const std::uint64_t asked = nak_field(sender, "asked=");
+      if (asked != 0 && asked == nak_field(sender, "cast_out=") &&
+          dropped.insert({d, asked}).second) {
+        f.drop = true;
+      }
+    }
+    return f;
+  }
+  sim::RngFaultPolicy rng;
+  Endpoint& sender;
+  std::set<std::pair<sim::NodeId, std::uint64_t>> dropped;
+};
+
+// A lost ask costs only speed: the receivers repair the cast by NAK, and
+// the periodic status opens the window.
+TEST(Nak, LostAskFallsBackToStatus) {
+  HorusSystem::Options o;
+  o.net.loss = 0.0;
+  NakWorld w(3, o);
+  auto policy = std::make_shared<DropAsks>(o.seed, *w.eps[0]);
+  w.sys.net().set_fault_policy(policy);
+  constexpr std::size_t kCasts = 1000;
+  for (std::size_t i = 0; i < kCasts; ++i) {
+    w.eps[0]->cast(kGroup, Message::from_string(std::to_string(i) + ":" +
+                                                std::string(400, 'x')));
+    w.sys.run_for(10);
+  }
+  w.sys.run_for(2 * sim::kSecond);
+  EXPECT_GE(policy->dropped.size(), 2u * (kCasts / 256)) << "asks were sent";
+  for (std::size_t m = 0; m < 3; ++m) {
+    auto got = w.logs[m].casts_from(w.eps[0]->address());
+    ASSERT_EQ(got.size(), kCasts) << "member " << m;
+    for (std::size_t i = 0; i < kCasts; ++i) {
+      EXPECT_EQ(got[i].substr(0, got[i].find(':')), std::to_string(i));
+    }
+  }
+}
+
+// A member that has moved to a new view keeps the previous view's
+// retransmit buffer: a peer still NAKing casts of that view (as a member
+// flushing the old view does) gets them retransmitted, not LOST_MESSAGE
+// placeholders, even after a status from that peer arrives in the new view.
+TEST(Nak, OldEpochStillRepairedAfterViewChange) {
+  HorusSystem::Options o;
+  o.net.loss = 0.0;
+  // The first NAK for a gap goes out 100 ms after it opens, so statuses
+  // reach the sender in its new view first.
+  o.stack.nak_resend_timeout = sim::kSecond;
+  NakWorld w(2, o);
+  Endpoint& a = *w.eps[0];
+  Endpoint& b = *w.eps[1];
+  auto cast = [&](int from, int to) {
+    for (int i = from; i < to; ++i) a.cast(kGroup, Message::from_string(std::to_string(i)));
+    w.sys.run_for(sim::kMillisecond);
+  };
+  sim::LinkParams dead;
+  dead.loss = 1.0;
+  cast(0, 5);
+  w.sys.net().set_link_params(a.address().id, b.address().id, dead);
+  cast(5, 10);  // b misses these
+  w.sys.net().clear_link_params(a.address().id, b.address().id);
+  cast(10, 20);
+  // Only a moves on: b stays in the old view, its gap 5..9 still open.
+  a.install_view(kGroup, {a.address(), b.address()});
+  w.sys.run_for(50 * sim::kMillisecond);
+  ASSERT_TRUE(w.logs[1].lost.empty());
+  w.sys.run_for(sim::kSecond);
+  EXPECT_TRUE(w.logs[1].lost.empty()) << "old-epoch casts answered by placeholders";
+  auto got = w.logs[1].casts_from(a.address());
+  ASSERT_EQ(got.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], std::to_string(i));
 }
 
 // Two groups on one endpoint pair, casts interleaved across them: NAK
