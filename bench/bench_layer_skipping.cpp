@@ -4,13 +4,14 @@
 // Stacks N NOP layers (self-declared skippable) over NAK:COM and measures
 // end-to-end message cost, against the same tower built of PASS layers --
 // the same no-op without the skip declarations, so every data event visits
-// each one. The PASS tower is the cost the optimization removes.
+// each one. The PASS tower is the cost the optimization removes. Both
+// layers live in baselines.hpp, outside the registry.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 
-#include "bench_util.hpp"
+#include "baselines.hpp"
 
 using namespace horus;
 using namespace horus::bench;
@@ -24,7 +25,7 @@ std::string tower(const char* layer, int n) {
 }
 
 void BM_Tower(benchmark::State& state, const char* layer) {
-  Rig rig(tower(layer, static_cast<int>(state.range(0))), 2, Rig::fast_net());
+  Rig rig(tower(layer, static_cast<int>(state.range(0))), 2, baseline_net());
   Bytes payload(100, 0x61);
   for (auto _ : state) {
     rig.cast_and_settle(payload);

@@ -1,6 +1,5 @@
-// The protocol accelerator, measured: message packing (PACK trains) and
-// the batched send path against the same stack running one-message-at-a-
-// time. The paper's Section 10 observation is that layered composition
+// The protocol accelerator, measured: message packing (PACK trains)
+// against the same stack running one-message-at-a-time. The paper's Section 10 observation is that layered composition
 // costs -- per-message descents, per-message headers, per-message
 // datagrams -- can be masked by processing messages in groups; the
 // interesting number here is the msgs/s ratio at small (64-byte) casts,
@@ -10,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "horus/util/hotpath_stats.hpp"
 
 using namespace horus;
 using namespace horus::bench;
@@ -22,8 +20,7 @@ constexpr int kBurst = 64;  // casts issued per iteration before settling
 
 /// Burst-cast throughput for one stack: issue kBurst casts, run the sim
 /// until the last member delivered all of them, repeat.
-void burst_throughput(benchmark::State& state, const char* spec,
-                      bool batch_api) {
+void burst_throughput(benchmark::State& state, const char* spec) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   HorusSystem::Options opts = Rig::fast_net();
   // Size the packing knobs to the burst: tell the stack the transport's
@@ -40,17 +37,8 @@ void burst_throughput(benchmark::State& state, const char* spec,
       rig.eps[0]->stack().stats().datagrams_sent.load();
   for (auto _ : state) {
     std::uint64_t want = rig.delivered[n - 1] + kBurst;
-    if (batch_api) {
-      std::vector<Message> msgs;
-      msgs.reserve(kBurst);
-      for (int i = 0; i < kBurst; ++i) {
-        msgs.push_back(Message::from_payload(Bytes(payload)));
-      }
-      rig.eps[0]->cast_batch(kGroup, std::move(msgs));
-    } else {
-      for (int i = 0; i < kBurst; ++i) {
-        rig.eps[0]->cast(kGroup, Message::from_payload(Bytes(payload)));
-      }
+    for (int i = 0; i < kBurst; ++i) {
+      rig.eps[0]->cast(kGroup, Message::from_payload(Bytes(payload)));
     }
     for (int guard = 0; guard < 100'000 && rig.delivered[n - 1] < want;
          ++guard) {
@@ -71,45 +59,29 @@ void burst_throughput(benchmark::State& state, const char* spec,
 }
 
 void BM_UnpackedSmallCasts(benchmark::State& state) {
-  burst_throughput(state, "FRAG:NAK:COM", /*batch_api=*/false);
+  burst_throughput(state, "FRAG:NAK:COM");
 }
 void BM_PackedSmallCasts(benchmark::State& state) {
-  burst_throughput(state, "PACK:FRAG:NAK:COM", /*batch_api=*/false);
-}
-void BM_PackedSmallCastBatch(benchmark::State& state) {
-  burst_throughput(state, "PACK:FRAG:NAK:COM", /*batch_api=*/true);
+  burst_throughput(state, "PACK:FRAG:NAK:COM");
 }
 BENCHMARK(BM_UnpackedSmallCasts)->Arg(2)->Arg(4);
 BENCHMARK(BM_PackedSmallCasts)->Arg(2)->Arg(4);
-BENCHMARK(BM_PackedSmallCastBatch)->Arg(2)->Arg(4);
 
 // The ordered stack: one ordering stamp per train instead of per cast.
 void BM_UnpackedOrderedCasts(benchmark::State& state) {
-  burst_throughput(state, "TOTAL:MBRSHIP:FRAG:NAK:COM", /*batch_api=*/false);
+  burst_throughput(state, "TOTAL:MBRSHIP:FRAG:NAK:COM");
 }
 void BM_PackedOrderedCasts(benchmark::State& state) {
-  burst_throughput(state, "PACK:TOTAL:MBRSHIP:FRAG:NAK:COM",
-                   /*batch_api=*/false);
+  burst_throughput(state, "PACK:TOTAL:MBRSHIP:FRAG:NAK:COM");
 }
 BENCHMARK(BM_UnpackedOrderedCasts)->Arg(2);
 BENCHMARK(BM_PackedOrderedCasts)->Arg(2);
-
-// The batched traversal alone (no PACK): transforms process the burst in
-// one descent via down_batch instead of kBurst separate descents.
-void BM_BatchedTransformDescent(benchmark::State& state) {
-  burst_throughput(state, "ENCRYPT:CHKSUM:FRAG:NAK:COM", /*batch_api=*/true);
-}
-void BM_PerEventTransformDescent(benchmark::State& state) {
-  burst_throughput(state, "ENCRYPT:CHKSUM:FRAG:NAK:COM", /*batch_api=*/false);
-}
-BENCHMARK(BM_BatchedTransformDescent)->Arg(2);
-BENCHMARK(BM_PerEventTransformDescent)->Arg(2);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::printf(
-      "=== Protocol accelerator: packing + batched send/delivery ===\n"
+      "=== Protocol accelerator: packing ===\n"
       "Arg = group size; casts are %zu bytes, issued in bursts of %d.\n"
       "The packed stacks coalesce each burst into count-capped trains, so\n"
       "one descent, one sequence number and one datagram carry many casts\n"

@@ -4,12 +4,13 @@
 // header-writing TAG layers (adds problem 3's header work per layer). The
 // paper's claim that "the cost of a layer can be as low as just a few
 // instructions at runtime" shows up as the tiny per-PASS-layer slope.
+// PASS and TAG live in baselines.hpp, outside the registry.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 
-#include "bench_util.hpp"
+#include "baselines.hpp"
 
 using namespace horus;
 using namespace horus::bench;
@@ -27,7 +28,7 @@ std::string tower(const char* layer, int n, const char* base) {
 
 void BM_Depth(benchmark::State& state, const char* layer) {
   int depth = static_cast<int>(state.range(0));
-  Rig rig(tower(layer, depth, "NAK:COM"));
+  Rig rig(tower(layer, depth, "NAK:COM"), 2, baseline_net());
   Bytes payload(100, 0x61);
   for (auto _ : state) {
     rig.cast_and_settle(payload);

@@ -19,7 +19,7 @@ if [[ ! -x "$lint" ]]; then
   exit 2
 fi
 
-# --list-layers prints "NAME batch_safe=... up_emits=..."; the layer name
+# --list-layers prints "NAME up_emits=..."; the layer name
 # is the first field.
 declare -A known
 while IFS= read -r name; do

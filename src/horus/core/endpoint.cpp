@@ -149,22 +149,6 @@ void Endpoint::cast(GroupId gid, Message msg) {
   downcall(gid, std::move(ev));
 }
 
-void Endpoint::cast_batch(GroupId gid, std::vector<Message> msgs) {
-  if (msgs.empty()) return;
-  std::vector<DownEvent> evs;
-  evs.reserve(msgs.size());
-  for (Message& m : msgs) {
-    DownEvent ev;
-    ev.type = DownType::kCast;
-    ev.msg = std::move(m);
-    evs.push_back(std::move(ev));
-  }
-  post_to(gid, race::Origin::kDowncall,
-          [evs = std::move(evs)](Group& g) mutable {
-            g.stack().app_down_batch(g, evs);
-          });
-}
-
 void Endpoint::send(GroupId gid, std::vector<Address> dests, Message msg) {
   DownEvent ev;
   ev.type = DownType::kSend;

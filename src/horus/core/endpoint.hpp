@@ -82,11 +82,6 @@ class Endpoint {
   /// Multicast to the group's current view.
   void cast(GroupId gid, Message msg);
 
-  /// Multicast a batch of messages in one executor task and one stack
-  /// traversal (the accelerator's batched send path). Equivalent to
-  /// calling cast() once per message, in order.
-  void cast_batch(GroupId gid, std::vector<Message> msgs);
-
   /// Send to a subset of the view.
   void send(GroupId gid, std::vector<Address> dests, Message msg);
 

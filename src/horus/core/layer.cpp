@@ -31,10 +31,6 @@ void Layer::pass_down(Group& g, DownEvent& ev) {
   stack_->forward_down(index_, g, ev);
 }
 
-void Layer::pass_down_batch(Group& g, std::span<DownEvent> evs) {
-  stack_->forward_down_batch(index_, g, evs);
-}
-
 void Layer::pass_up(Group& g, UpEvent& ev) {
   stack_->forward_up(index_, g, ev);
 }

@@ -50,13 +50,6 @@ struct LayerInfo {
   /// stack's fast path may skip the layer entirely (Section 10, fix 1).
   bool skip_data_down = false;
   bool skip_data_up = false;
-  /// The layer's down() is a pure per-message transform for data events --
-  /// no buffering, splitting, absorption or cross-message reordering -- so
-  /// the batched send path may hand it a whole train of events in one
-  /// traversal (Section 10's packing remedy). Layers that buffer or split
-  /// data events (FRAG, PACK, NAK) must leave this false; the stack then
-  /// falls back to per-event forwarding below them.
-  bool batch_safe = false;
   /// Upcall types this layer may *originate* (as opposed to pass through
   /// from below), as a mask of `up_mask(UpType)` bits. The HCPI contract
   /// checker (analysis/checked.hpp) flags originated upcalls outside this
@@ -89,11 +82,10 @@ class Layer {
   /// Handle an event from below. Default: pass through unchanged.
   virtual void up(Group& g, UpEvent& ev) { pass_up(g, ev); }
 
-  /// Handle a batch of data events from above in one visit (the batched
-  /// send path; only reached when info().batch_safe is set). Default:
-  /// apply down() per event in order, which is always correct; transform
-  /// layers override to apply their per-event work and then forward the
-  /// whole train once with pass_down_batch.
+  /// Apply down() to each event in order. Nothing in the stack calls this:
+  /// a descent is always one event (PACK's trains batch below it). It stays
+  /// only because perfbench's TimedLayer (perfbench/src/trace.hpp) overrides
+  /// it; delete both together.
   virtual void down_batch(Group& g, std::span<DownEvent> evs);
 
   /// Bottom (transport) layers only: a raw datagram arrived for `g`.
@@ -138,10 +130,6 @@ class Layer {
  protected:
   /// Forward an event to the next layer below (or the transport sink).
   void pass_down(Group& g, DownEvent& ev);
-  /// Forward a batch of data events below in one traversal step. The stack
-  /// keeps the train intact while the next layer is batch_safe and degrades
-  /// to per-event forwarding otherwise.
-  void pass_down_batch(Group& g, std::span<DownEvent> evs);
   /// Forward an event to the next layer above (or the application sink).
   void pass_up(Group& g, UpEvent& ev);
 

@@ -165,18 +165,6 @@ void Stack::app_down(Group& g, DownEvent& ev) {
   forward_down(kAppSink, g, ev);
 }
 
-void Stack::app_down_batch(Group& g, std::span<DownEvent> evs) {
-  if (evs.size() == 1) {
-    app_down(g, evs[0]);
-    return;
-  }
-  stats_.downcalls.fetch_add(evs.size(), std::memory_order_relaxed);
-  msg_path_stats().batch_descents.fetch_add(1, std::memory_order_relaxed);
-  msg_path_stats().batched_events.fetch_add(evs.size(),
-                                            std::memory_order_relaxed);
-  forward_down_batch(kAppSink, g, evs);
-}
-
 void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
   HORUS_RACE_PROBE_GROUP(g.race_owner(), g.gid().id, "Stack::forward_down");
   if (monitor_ != nullptr) monitor_->on_forward_down(g, from_index, ev);
@@ -215,33 +203,6 @@ void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
   }
 #endif
   layers_[next]->down(g, ev);
-}
-
-void Stack::forward_down_batch(std::size_t from_index, Group& g,
-                               std::span<DownEvent> evs) {
-  if (evs.empty()) return;
-  if (evs.size() == 1) {
-    forward_down(from_index, g, evs[0]);
-    return;
-  }
-  std::size_t next;
-  if (from_index == kAppSink) {
-    next = layers_[0]->info().skip_data_down ? next_down_[0] : 0;
-  } else {
-    next = next_down_[from_index];
-  }
-  if (next >= layers_.size()) return;  // absorbed below the bottom
-  // Contract-checked stacks and batch-opaque layers take the per-event
-  // path: HCPI frames stay one-event-deep and semantics are unchanged --
-  // the batch is purely a dispatch optimization.
-  if (monitor_ != nullptr || !layers_[next]->info().batch_safe) {
-    for (DownEvent& ev : evs) forward_down(from_index, g, ev);
-    return;
-  }
-  for (DownEvent& ev : evs) {
-    if (is_data(ev.type)) fit(ev.msg);
-  }
-  layers_[next]->down_batch(g, evs);
 }
 
 void Stack::forward_up(std::size_t from_index, Group& g, UpEvent& ev) {

@@ -188,12 +188,6 @@ class Stack {
   /// group's task, which Endpoint posts for every downcall.
   void app_down(Group& g, DownEvent& ev);
 
-  /// Batched downcall: all events enter the top of the stack in one
-  /// traversal. Layers that declare batch_safe are visited once per train;
-  /// below the first batch-opaque layer the train degrades to per-event
-  /// forwarding (still inside the same task).
-  void app_down_batch(Group& g, std::span<DownEvent> evs);
-
   /// Wire framing, read by the endpoint's demux: a datagram begins with a
   /// group-id prefix of kGidPrefix bytes followed by a 2-byte stack-epoch
   /// stamp (together kFramePrefix bytes), which routes late arrivals to
@@ -302,12 +296,6 @@ class Stack {
   // Internal: used by Layer::pass_down/pass_up. Index is the calling layer.
   void forward_down(std::size_t from_index, Group& g, DownEvent& ev);
   void forward_up(std::size_t from_index, Group& g, UpEvent& ev);
-  /// Batch variant of forward_down (Layer::pass_down_batch). Keeps the
-  /// train together while the next layer is batch_safe; otherwise -- and
-  /// whenever a contract monitor is installed, to keep HCPI frames
-  /// balanced -- forwards per event.
-  void forward_down_batch(std::size_t from_index, Group& g,
-                          std::span<DownEvent> evs);
 
  private:
   // The endpoint's demux counts stats_.datagrams_received on the stack a

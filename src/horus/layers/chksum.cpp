@@ -16,7 +16,6 @@ LayerInfo make_info() {
   li.spec.provides = props::make_set({Property::kGarblingDetect});
   li.spec.cost = 1;
   li.up_emits = 0;  // transform: forwards entry events, originates nothing
-  li.batch_safe = true;  // stateless per-message transform: trains welcome
   return li;
 }
 
@@ -28,28 +27,15 @@ std::unique_ptr<LayerState> Chksum::make_state(Group&) {
   return std::make_unique<State>();
 }
 
-void Chksum::down_one(Group&, DownEvent& ev) {
-  ByteSpan content = ev.msg.upper_span();
-  std::uint32_t crc =
-      crc32_update(crc32(stack().region_prefix(ev.msg, *this)), content);
-  std::uint64_t fields[] = {crc};
-  stack().push_header(ev.msg, *this, fields);
-}
-
 void Chksum::down(Group& g, DownEvent& ev) {
   if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-    down_one(g, ev);
+    ByteSpan content = ev.msg.upper_span();
+    std::uint32_t crc =
+        crc32_update(crc32(stack().region_prefix(ev.msg, *this)), content);
+    std::uint64_t fields[] = {crc};
+    stack().push_header(ev.msg, *this, fields);
   }
   pass_down(g, ev);
-}
-
-void Chksum::down_batch(Group& g, std::span<DownEvent> evs) {
-  for (DownEvent& ev : evs) {
-    if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-      down_one(g, ev);
-    }
-  }
-  pass_down_batch(g, evs);
 }
 
 void Chksum::up(Group& g, UpEvent& ev) {

@@ -24,9 +24,6 @@ LayerInfo make_info(bool checksum) {
                : props::make_set({Property::kSourceAddress});
   li.spec.cost = 1;
   li.up_emits = make_up_emits({UpType::kCast, UpType::kSend});
-  // Bottom of the stack: the default down_batch transmits each event via
-  // down(), still saving the per-event descent above.
-  li.batch_safe = true;
   return li;
 }
 

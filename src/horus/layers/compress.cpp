@@ -14,7 +14,6 @@ LayerInfo make_info() {
   li.spec.provides = 0;  // bandwidth, not a delivery property
   li.spec.cost = 3;
   li.up_emits = 0;  // transform: forwards entry events, originates nothing
-  li.batch_safe = true;  // each message compresses independently
   return li;
 }
 
@@ -26,34 +25,21 @@ std::unique_ptr<LayerState> Compress::make_state(Group&) {
   return std::make_unique<State>();
 }
 
-void Compress::down_one(Group& g, DownEvent& ev) {
-  State& st = state<State>(g);
-  ByteSpan content = ev.msg.upper_span();
-  Bytes packed = horus::compress(content);
-  std::uint64_t use = packed.size() < content.size() ? 1 : 0;
-  if (use != 0) {
-    ++st.compressed;
-    st.bytes_saved += content.size() - packed.size();
-    ev.msg = stack().tx_message(packed, ev.msg.region());
-  }
-  std::uint64_t fields[] = {use};
-  stack().push_header(ev.msg, *this, fields);
-}
-
 void Compress::down(Group& g, DownEvent& ev) {
   if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-    down_one(g, ev);
+    State& st = state<State>(g);
+    ByteSpan content = ev.msg.upper_span();
+    Bytes packed = horus::compress(content);
+    std::uint64_t use = packed.size() < content.size() ? 1 : 0;
+    if (use != 0) {
+      ++st.compressed;
+      st.bytes_saved += content.size() - packed.size();
+      ev.msg = stack().tx_message(packed, ev.msg.region());
+    }
+    std::uint64_t fields[] = {use};
+    stack().push_header(ev.msg, *this, fields);
   }
   pass_down(g, ev);
-}
-
-void Compress::down_batch(Group& g, std::span<DownEvent> evs) {
-  for (DownEvent& ev : evs) {
-    if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-      down_one(g, ev);
-    }
-  }
-  pass_down_batch(g, evs);
 }
 
 void Compress::up(Group& g, UpEvent& ev) {

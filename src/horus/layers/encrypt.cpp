@@ -14,7 +14,6 @@ LayerInfo make_info() {
   li.spec.provides = 0;  // privacy is not one of the P1..P16 delivery properties
   li.spec.cost = 3;
   li.up_emits = 0;  // transform: forwards entry events, originates nothing
-  li.batch_safe = true;  // per-message nonce keeps train elements independent
   return li;
 }
 
@@ -26,31 +25,18 @@ std::unique_ptr<LayerState> Encrypt::make_state(Group&) {
   return std::make_unique<State>();
 }
 
-void Encrypt::down_one(Group& g, DownEvent& ev) {
-  State& st = state<State>(g);
-  // Nonce unique per (endpoint, message) under the group key.
-  std::uint64_t nonce = (stack().address().id << 32) ^ ++st.nonce;
-  ev.msg = stack().tx_message(
-      stream_xor(stack().config().key, nonce, ev.msg.upper_span()),
-      ev.msg.region());
-  std::uint64_t fields[] = {nonce};
-  stack().push_header(ev.msg, *this, fields);
-}
-
 void Encrypt::down(Group& g, DownEvent& ev) {
   if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-    down_one(g, ev);
+    State& st = state<State>(g);
+    // Nonce unique per (endpoint, message) under the group key.
+    std::uint64_t nonce = (stack().address().id << 32) ^ ++st.nonce;
+    ev.msg = stack().tx_message(
+        stream_xor(stack().config().key, nonce, ev.msg.upper_span()),
+        ev.msg.region());
+    std::uint64_t fields[] = {nonce};
+    stack().push_header(ev.msg, *this, fields);
   }
   pass_down(g, ev);
-}
-
-void Encrypt::down_batch(Group& g, std::span<DownEvent> evs) {
-  for (DownEvent& ev : evs) {
-    if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-      down_one(g, ev);
-    }
-  }
-  pass_down_batch(g, evs);
 }
 
 void Encrypt::up(Group& g, UpEvent& ev) {

@@ -28,74 +28,6 @@
 namespace horus::layers {
 namespace {
 
-/// NOP: declares itself skippable for data -- the Section 10 "skip layers
-/// that take no action" fast path exercises it for free.
-class Nop final : public Layer {
- public:
-  Nop() {
-    info_.name = "NOP";
-    info_.spec.name = "NOP";
-    info_.spec.inherits = props::kAllProperties;
-    info_.up_emits = 0;  // pure pass-through
-    info_.skip_data_down = true;
-    info_.skip_data_up = true;
-  }
-  const LayerInfo& info() const override { return info_; }
-
- private:
-  LayerInfo info_;
-};
-
-/// PASS: a no-op that is NOT skippable; measures the raw cost of one layer
-/// boundary crossing (Section 10, problem 1).
-class Pass final : public Layer {
- public:
-  Pass() {
-    info_.name = "PASS";
-    info_.spec.name = "PASS";
-    info_.spec.inherits = props::kAllProperties;
-    info_.up_emits = 0;  // pure pass-through
-  }
-  const LayerInfo& info() const override { return info_; }
-
- private:
-  LayerInfo info_;
-};
-
-/// TAG: writes and reads one 32-bit header field; measures the header cost
-/// (Section 10, problem 3) per layer.
-class Tag final : public Layer {
- public:
-  Tag() {
-    info_.name = "TAG";
-    info_.fields = {{"tag", 32}};
-    info_.spec.name = "TAG";
-    info_.spec.inherits = props::kAllProperties;
-    info_.up_emits = 0;  // tags the entry message only
-  }
-  const LayerInfo& info() const override { return info_; }
-  void down(Group& g, DownEvent& ev) override {
-    if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-      std::uint64_t fields[] = {0xda7a};
-      stack().push_header(ev.msg, *this, fields);
-    }
-    pass_down(g, ev);
-  }
-  void up(Group& g, UpEvent& ev) override {
-    if (ev.type == UpType::kCast || ev.type == UpType::kSend) {
-      try {
-        (void)stack().pop_header(ev.msg, *this);
-      } catch (const DecodeError&) {
-        return;
-      }
-    }
-    pass_up(g, ev);
-  }
-
- private:
-  LayerInfo info_;
-};
-
 using Factory = std::function<std::unique_ptr<Layer>()>;
 
 const std::vector<std::pair<std::string, Factory>>& registry() {
@@ -124,9 +56,6 @@ const std::vector<std::pair<std::string, Factory>>& registry() {
       {"LOG", [] { return std::make_unique<LogLayer>(); }},
       {"TRACE", [] { return std::make_unique<Trace>(); }},
       {"ACCOUNT", [] { return std::make_unique<Account>(); }},
-      {"NOP", [] { return std::make_unique<Nop>(); }},
-      {"PASS", [] { return std::make_unique<Pass>(); }},
-      {"TAG", [] { return std::make_unique<Tag>(); }},
   };
   return reg;
 }

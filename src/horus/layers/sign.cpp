@@ -17,7 +17,6 @@ LayerInfo make_info() {
   li.spec.provides = props::make_set({Property::kGarblingDetect});
   li.spec.cost = 2;
   li.up_emits = 0;  // transform: forwards entry events, originates nothing
-  li.batch_safe = true;  // stateless per-message transform: trains welcome
   return li;
 }
 
@@ -36,26 +35,13 @@ std::unique_ptr<LayerState> Sign::make_state(Group&) {
   return std::make_unique<State>();
 }
 
-void Sign::down_one(Group&, DownEvent& ev) {
-  ByteSpan content = ev.msg.upper_span();
-  std::uint64_t fields[] = {mac_of(stack(), *this, ev.msg, content)};
-  stack().push_header(ev.msg, *this, fields);
-}
-
 void Sign::down(Group& g, DownEvent& ev) {
   if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-    down_one(g, ev);
+    ByteSpan content = ev.msg.upper_span();
+    std::uint64_t fields[] = {mac_of(stack(), *this, ev.msg, content)};
+    stack().push_header(ev.msg, *this, fields);
   }
   pass_down(g, ev);
-}
-
-void Sign::down_batch(Group& g, std::span<DownEvent> evs) {
-  for (DownEvent& ev : evs) {
-    if (ev.type == DownType::kCast || ev.type == DownType::kSend) {
-      down_one(g, ev);
-    }
-  }
-  pass_down_batch(g, evs);
 }
 
 void Sign::up(Group& g, UpEvent& ev) {

@@ -25,12 +25,10 @@ class Chksum final : public Layer {
   const LayerInfo& info() const override { return info_; }
   std::unique_ptr<LayerState> make_state(Group& g) override;
   void down(Group& g, DownEvent& ev) override;
-  void down_batch(Group& g, std::span<DownEvent> evs) override;
   void up(Group& g, UpEvent& ev) override;
   void dump(Group& g, std::string& out) const override;
 
  private:
-  void down_one(Group& g, DownEvent& ev);
   struct State final : LayerState {
     std::uint64_t dropped = 0;
   };
@@ -46,12 +44,10 @@ class Sign final : public Layer {
   const LayerInfo& info() const override { return info_; }
   std::unique_ptr<LayerState> make_state(Group& g) override;
   void down(Group& g, DownEvent& ev) override;
-  void down_batch(Group& g, std::span<DownEvent> evs) override;
   void up(Group& g, UpEvent& ev) override;
   void dump(Group& g, std::string& out) const override;
 
  private:
-  void down_one(Group& g, DownEvent& ev);
   struct State final : LayerState {
     std::uint64_t rejected = 0;
   };
@@ -67,12 +63,10 @@ class Encrypt final : public Layer {
   const LayerInfo& info() const override { return info_; }
   std::unique_ptr<LayerState> make_state(Group& g) override;
   void down(Group& g, DownEvent& ev) override;
-  void down_batch(Group& g, std::span<DownEvent> evs) override;
   void up(Group& g, UpEvent& ev) override;
   void dump(Group& g, std::string& out) const override;
 
  private:
-  void down_one(Group& g, DownEvent& ev);
   struct State final : LayerState {
     std::uint64_t nonce = 0;
     std::uint64_t decrypted = 0;
@@ -88,12 +82,10 @@ class Compress final : public Layer {
   const LayerInfo& info() const override { return info_; }
   std::unique_ptr<LayerState> make_state(Group& g) override;
   void down(Group& g, DownEvent& ev) override;
-  void down_batch(Group& g, std::span<DownEvent> evs) override;
   void up(Group& g, UpEvent& ev) override;
   void dump(Group& g, std::string& out) const override;
 
  private:
-  void down_one(Group& g, DownEvent& ev);
   struct State final : LayerState {
     std::uint64_t compressed = 0;
     std::uint64_t bytes_saved = 0;

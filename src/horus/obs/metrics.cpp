@@ -47,8 +47,6 @@ void register_process_islands(MetricsRegistry& r) {
   mirror("trains_unpacked", mp.trains_unpacked);
   mirror("casts_unpacked", mp.casts_unpacked);
   mirror("corrupt_trains", mp.corrupt_trains);
-  mirror("batch_descents", mp.batch_descents);
-  mirror("batched_events", mp.batched_events);
   mirror("batch_sends", mp.batch_sends);
   mirror("reconfigs_requested", mp.reconfigs_requested);
   mirror("reconfigs_completed", mp.reconfigs_completed);

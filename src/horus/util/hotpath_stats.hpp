@@ -20,7 +20,7 @@ struct MsgPathStats {
   std::atomic<std::uint64_t> writer_spills{0};     ///< external Writer overflow
   std::atomic<std::uint64_t> bytes_copied{0};      ///< hot-path memcpy volume
 
-  // Message packing / batched traversal (the protocol accelerator).
+  // Message packing (the protocol accelerator).
   std::atomic<std::uint64_t> packs_built{0};        ///< packed trains flushed
   std::atomic<std::uint64_t> casts_packed{0};       ///< casts coalesced into trains
   std::atomic<std::uint64_t> flushes_by_size{0};    ///< train hit the byte budget
@@ -30,8 +30,6 @@ struct MsgPathStats {
   std::atomic<std::uint64_t> trains_unpacked{0};    ///< packed datagrams fanned out
   std::atomic<std::uint64_t> casts_unpacked{0};     ///< casts delivered out of trains
   std::atomic<std::uint64_t> corrupt_trains{0};     ///< undecodable trains dropped whole
-  std::atomic<std::uint64_t> batch_descents{0};     ///< down_batch stack traversals
-  std::atomic<std::uint64_t> batched_events{0};     ///< events carried by those batches
   std::atomic<std::uint64_t> batch_sends{0};        ///< multi-destination Transport::send_batch calls
 
   // Live reconfiguration (epoch-versioned stacks).
@@ -53,8 +51,7 @@ struct MsgPathStats {
           &casts_packed, &flushes_by_size, &flushes_by_count,
           &flushes_by_timer, &packed_bytes_saved,
           &trains_unpacked, &casts_unpacked, &corrupt_trains,
-          &batch_descents, &batched_events, &batch_sends,
-          &reconfigs_requested,
+          &batch_sends, &reconfigs_requested,
           &reconfigs_completed, &reconfigs_rejected, &stale_epoch_drops,
           &shadow_datagrams, &shadows_retired, &state_transfers}) {
       c->store(0, std::memory_order_relaxed);

@@ -1,10 +1,75 @@
 // Stack composition mechanics: run-time assembly from spec strings,
 // well-formedness enforcement at creation, the Section 10 compacted header
 // region, the no-op-layer skip tables, stats and diagnostics (focus/dump).
+#include <deque>
+
 #include "../common/test_util.hpp"
+#include "horus/layers/registry.hpp"
 
 namespace horus::testing {
 namespace {
+
+/// Events one no-op layer instance saw: data (kCast/kSend) apart from
+/// control, each way.
+struct Visits {
+  std::uint64_t data_down = 0, data_up = 0, ctl_down = 0, ctl_up = 0;
+};
+
+/// A no-op layer that counts the events reaching it. Skippable, it is NOP
+/// (declares both skip flags); unskippable, it is PASS.
+class CountingNoop final : public Layer {
+ public:
+  CountingNoop(const std::string& name, bool skippable, Visits& v) : v_(v) {
+    info_.name = name;
+    info_.spec.name = name;
+    info_.spec.inherits = props::kAllProperties;
+    info_.up_emits = 0;  // pure pass-through
+    info_.skip_data_down = skippable;
+    info_.skip_data_up = skippable;
+  }
+  const LayerInfo& info() const override { return info_; }
+  void down(Group& g, DownEvent& ev) override {
+    const bool data =
+        ev.type == DownType::kCast || ev.type == DownType::kSend;
+    ++(data ? v_.data_down : v_.ctl_down);
+    pass_down(g, ev);
+  }
+  void up(Group& g, UpEvent& ev) override {
+    const bool data = ev.type == UpType::kCast || ev.type == UpType::kSend;
+    ++(data ? v_.data_up : v_.ctl_up);
+    pass_up(g, ev);
+  }
+
+ private:
+  LayerInfo info_;
+  Visits& v_;
+};
+
+/// A stack_factory that builds NOP and PASS tokens as CountingNoops and
+/// every other token through the registry. `made` keeps one entry per
+/// instance in creation order: endpoint by endpoint, top to bottom. Must
+/// outlive the HorusSystem it configures.
+struct NoopFactory {
+  std::deque<std::pair<std::string, Visits>> made;
+
+  HorusSystem::Options options() {
+    HorusSystem::Options o;
+    o.net.loss = 0.0;
+    o.stack_factory = [this](const std::string& spec) {
+      std::vector<std::unique_ptr<Layer>> out;
+      for (const std::string& name : layers::split_spec(spec)) {
+        if (name == "NOP" || name == "PASS") {
+          Visits& v = made.emplace_back(name, Visits{}).second;
+          out.push_back(std::make_unique<CountingNoop>(name, name == "NOP", v));
+        } else {
+          out.push_back(layers::make_layer(name));
+        }
+      }
+      return out;
+    };
+    return o;
+  }
+};
 
 TEST(StackBuild, IllFormedStackThrowsAtCreation) {
   HorusSystem sys;
@@ -95,31 +160,59 @@ TEST(CodecTest, CompactSavesWireBytes) {
   EXPECT_EQ(s.header_bytes_sent.load(), s.datagrams_sent.load() * per_dgram);
 }
 
+constexpr std::size_t kSkipCasts = 10;
+
+/// Member 0 casts kSkipCasts messages; returns what member 1 delivered.
+std::vector<std::string> cast_through(World& w) {
+  for (std::size_t i = 0; i < kSkipCasts; ++i) {
+    w.eps[0]->cast(kGroup, Message::from_string("m" + std::to_string(i)));
+  }
+  w.sys.run_for(sim::kSecond);
+  return w.logs[1].casts_from(w.eps[0]->address());
+}
+
 TEST(StackSkip, NopLayersAreSkippedOnDataPath) {
   // A tower of NOP layers must not change behaviour; with skipping enabled
-  // the data path jumps straight across them.
-  HorusSystem::Options opts;
-  opts.net.loss = 0.0;
-  World w(2, "NOP:NOP:NOP:MBRSHIP:FRAG:NAK:COM", opts);
+  // the data path jumps straight across them: no NOP sees a data event,
+  // while control events (the join, the VIEW) still visit every one.
+  NoopFactory f;
+  World w(2, "NOP:NOP:NOP:MBRSHIP:FRAG:NAK:COM", f.options());
   w.form_group();
   ASSERT_TRUE(w.converged());
-  w.eps[0]->cast(kGroup, Message::from_string("through the nops"));
-  w.sys.run_for(sim::kSecond);
-  auto got = w.logs[1].casts_from(w.eps[0]->address());
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "through the nops");
+  EXPECT_EQ(cast_through(w).size(), kSkipCasts);
+  ASSERT_EQ(f.made.size(), 6u);
+  for (const auto& [name, v] : f.made) {
+    EXPECT_EQ(v.data_down, 0u);
+    EXPECT_EQ(v.data_up, 0u);
+    EXPECT_GT(v.ctl_down, 0u);
+    EXPECT_GT(v.ctl_up, 0u);
+  }
 }
 
 TEST(StackSkip, DisabledSkippingStillCorrect) {
-  HorusSystem::Options opts;
-  opts.net.loss = 0.0;
   // PASS is never skipped: the data path still visits a non-skippable
-  // layer between skipped ones.
-  World w(2, "NOP:PASS:MBRSHIP:FRAG:NAK:COM", opts);
+  // layer between skipped ones -- every cast at the sender on the way
+  // down and at the receiver on the way up -- while the NOP above it
+  // still sees none.
+  NoopFactory f;
+  World w(2, "NOP:PASS:MBRSHIP:FRAG:NAK:COM", f.options());
   w.form_group();
-  w.eps[0]->cast(kGroup, Message::from_string("slow path"));
-  w.sys.run_for(sim::kSecond);
-  EXPECT_EQ(w.logs[1].casts_from(w.eps[0]->address()).size(), 1u);
+  ASSERT_TRUE(w.converged());
+  EXPECT_EQ(cast_through(w).size(), kSkipCasts);
+  // Creation order: member 0's NOP and PASS, then member 1's.
+  ASSERT_EQ(f.made.size(), 4u);
+  const Visits& pass0 = f.made[1].second;
+  const Visits& pass1 = f.made[3].second;
+  EXPECT_EQ(pass0.data_down, kSkipCasts);
+  EXPECT_EQ(pass1.data_up, kSkipCasts);
+  for (const auto& [name, v] : f.made) {
+    if (name == "NOP") {
+      EXPECT_EQ(v.data_down, 0u);
+      EXPECT_EQ(v.data_up, 0u);
+    }
+    EXPECT_GT(v.ctl_down, 0u);
+    EXPECT_GT(v.ctl_up, 0u);
+  }
 }
 
 TEST(StackStats, CountsTraffic) {
@@ -235,9 +328,8 @@ TEST(StackMulti, DifferentStacksInterope) {
   // Two endpoints can run different (wire-compatible) upper layers as long
   // as the shared lower stack matches... here both run identical stacks
   // but with an extra NOP on one side, which adds no header.
-  HorusSystem::Options opts;
-  opts.net.loss = 0.0;
-  HorusSystem sys(opts);
+  NoopFactory f;
+  HorusSystem sys(f.options());
   auto& a = sys.create_endpoint("NOP:MBRSHIP:FRAG:NAK:COM");
   auto& b = sys.create_endpoint("MBRSHIP:FRAG:NAK:COM");
   AppLog la, lb;

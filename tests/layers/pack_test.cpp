@@ -19,16 +19,14 @@ constexpr const char* kPackOrdered = "PACK:TOTAL:MBRSHIP:FRAG:NAK:COM";
 /// stats object is process-wide; tests in this binary share it).
 struct PackStatsDelta {
   std::uint64_t packs_built, casts_packed, flushes_by_size, flushes_by_count,
-      flushes_by_timer, trains_unpacked, casts_unpacked, corrupt_trains,
-      batch_descents, batched_events;
+      flushes_by_timer, trains_unpacked, casts_unpacked, corrupt_trains;
 
   static PackStatsDelta snap() {
     MsgPathStats& s = msg_path_stats();
     return {s.packs_built.load(),     s.casts_packed.load(),
             s.flushes_by_size.load(), s.flushes_by_count.load(),
             s.flushes_by_timer.load(), s.trains_unpacked.load(),
-            s.casts_unpacked.load(),  s.corrupt_trains.load(),
-            s.batch_descents.load(),  s.batched_events.load()};
+            s.casts_unpacked.load(),  s.corrupt_trains.load()};
   }
   PackStatsDelta since() const {
     PackStatsDelta now = snap();
@@ -39,9 +37,7 @@ struct PackStatsDelta {
             now.flushes_by_timer - flushes_by_timer,
             now.trains_unpacked - trains_unpacked,
             now.casts_unpacked - casts_unpacked,
-            now.corrupt_trains - corrupt_trains,
-            now.batch_descents - batch_descents,
-            now.batched_events - batched_events};
+            now.corrupt_trains - corrupt_trains};
   }
 };
 
@@ -346,27 +342,6 @@ TEST(Pack, CorruptTrainDropsTheWholeDatagramAndCountsIt) {
             (std::vector<std::string>{"alpha-alpha", "bravo-bravo"}));
   std::string dump = rx.dump(kGroup, "PACK");
   EXPECT_NE(dump.find("corrupt=1"), std::string::npos) << dump;
-}
-
-// -- batched send path -------------------------------------------------------
-
-TEST(Pack, CastBatchDrivesOneTraversalPerBatch) {
-  HorusSystem::Options o;
-  o.net.loss = 0.0;
-  // A stack whose top layers are batch-transparent transforms: the batch
-  // survives the descent until COM transmits each event.
-  PackWorld w(2, "CHKSUM:FRAG:NAK:COM", o);
-  PackStatsDelta base = PackStatsDelta::snap();
-  std::vector<std::string> sent = numbered(50, "b");
-  std::vector<Message> msgs;
-  msgs.reserve(sent.size());
-  for (const std::string& s : sent) msgs.push_back(Message::from_string(s));
-  w.eps[0]->cast_batch(kGroup, std::move(msgs));
-  w.sys.run_for(sim::kSecond);
-  EXPECT_EQ(w.logs[1].casts_from(w.eps[0]->address()), sent);
-  PackStatsDelta d = base.since();
-  EXPECT_EQ(d.batch_descents, 1u);
-  EXPECT_EQ(d.batched_events, 50u);
 }
 
 // -- contracts stay clean with packing on ------------------------------------

@@ -18,7 +18,7 @@
 //                         this to scripts/lint_annotations.py to produce
 //                         GitHub ::error annotations
 //   --list-layers         print the registered layers (with their
-//                         batch_safe and up_emits contract flags) and exit
+//                         up_emits contract flag) and exit
 //
 // --diff prints the provided-property delta between the two stacks and the
 // reconfiguration-legality verdict Endpoint::reconfigure would apply: the
@@ -102,12 +102,11 @@ int diff_specs(const std::string& old_spec, const std::string& new_spec,
   return 1;
 }
 
-/// One line per registered layer with its HCPI contract flags.
+/// One line per registered layer with its HCPI contract flag.
 void list_layers() {
   for (const std::string& n : horus::layers::layer_names()) {
     horus::LayerInfo li = horus::layers::layer_info(n);
-    std::cout << n << " batch_safe=" << (li.batch_safe ? "yes" : "no")
-              << " up_emits=";
+    std::cout << n << " up_emits=";
     if (li.up_emits == horus::LayerInfo::kEmitsUndeclared) {
       std::cout << "undeclared";
     } else if (li.up_emits == 0) {
