@@ -113,6 +113,9 @@ struct UpEvent {
   StabilityMatrix stability;    ///< kStable
   std::string info;             ///< kSystemError/kMergeDenied reason
   std::uint64_t msg_id = 0;     ///< kCast/kSend: per-sender id when available
+  /// kLostMessage: the source's stream the message was lost from, kCast or
+  /// kSend; kLostMessage when the layer below cannot tell.
+  UpType lost_from = UpType::kLostMessage;
 };
 
 }  // namespace horus

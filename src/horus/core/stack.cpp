@@ -263,30 +263,43 @@ void Stack::app_up(Group& g, UpEvent& ev) {
 
 void Stack::transport_send_raw(Address dst, ByteSpan wire,
                                std::size_t payload_size) {
-  stats_.datagrams_sent.fetch_add(1, std::memory_order_relaxed);
-  stats_.wire_bytes_sent.fetch_add(wire.size(), std::memory_order_relaxed);
-  stats_.payload_bytes_sent.fetch_add(payload_size, std::memory_order_relaxed);
-  stats_.header_bytes_sent.fetch_add(wire.size() - payload_size,
-                                     std::memory_order_relaxed);
-  transport_.send(address(), dst, wire);
+  transport_send_raw_batch(std::span<const Address>(&dst, 1), wire,
+                           payload_size);
 }
 
 void Stack::transport_send_raw_batch(std::span<const Address> dests,
                                      ByteSpan wire, std::size_t payload_size) {
-  if (dests.empty()) return;
-  if (dests.size() == 1) {
-    transport_send_raw(dests[0], wire, payload_size);
-    return;
+  // The copy addressed to this endpoint skips the wire.
+  std::span<const Address> remote = dests;
+  const auto self = std::find(dests.begin(), dests.end(), address());
+  if (self != dests.end()) {
+    remote_.assign(dests.begin(), self);
+    remote_.insert(remote_.end(), self + 1, dests.end());
+    remote = remote_;
   }
-  const auto n = static_cast<std::uint64_t>(dests.size());
-  stats_.datagrams_sent.fetch_add(n, std::memory_order_relaxed);
-  stats_.wire_bytes_sent.fetch_add(n * wire.size(), std::memory_order_relaxed);
-  stats_.payload_bytes_sent.fetch_add(n * payload_size,
-                                      std::memory_order_relaxed);
-  stats_.header_bytes_sent.fetch_add(n * (wire.size() - payload_size),
+  if (!remote.empty()) {
+    const auto n = static_cast<std::uint64_t>(remote.size());
+    stats_.datagrams_sent.fetch_add(n, std::memory_order_relaxed);
+    stats_.wire_bytes_sent.fetch_add(n * wire.size(),
                                      std::memory_order_relaxed);
-  msg_path_stats().batch_sends.fetch_add(1, std::memory_order_relaxed);
-  transport_.send_batch(address(), dests, wire);
+    stats_.payload_bytes_sent.fetch_add(n * payload_size,
+                                        std::memory_order_relaxed);
+    stats_.header_bytes_sent.fetch_add(n * (wire.size() - payload_size),
+                                       std::memory_order_relaxed);
+    if (n == 1) {
+      transport_.send(address(), remote[0], wire);
+    } else {
+      msg_path_stats().batch_sends.fetch_add(1, std::memory_order_relaxed);
+      transport_.send_batch(address(), remote, wire);
+    }
+  }
+  // The endpoint's receive path posts it as a task of its own, so it is
+  // never delivered inside the descent that sent it, and routes it by its
+  // epoch stamp like any datagram.
+  if (self != dests.end()) {
+    owner_->deliver_datagram(
+        address(), std::make_shared<Bytes>(wire.begin(), wire.end()));
+  }
 }
 
 void Stack::push_header(Message& m, const Layer& layer,

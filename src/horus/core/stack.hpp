@@ -202,13 +202,17 @@ class Stack {
 
   /// Transmit an already-serialized datagram (transport layers that add
   /// trailers serialize themselves); `wire` must already begin with the
-  /// group-id prefix. `payload_size` is for stats only.
+  /// group-id prefix. `payload_size` is for stats only. A datagram for this
+  /// endpoint skips the transport: one copy of the frame goes to
+  /// Endpoint::deliver_datagram, which delivers it in a task of its own,
+  /// and the stats count only what the transport carries.
   void transport_send_raw(Address dst, ByteSpan wire, std::size_t payload_size);
 
   /// Fan one serialized datagram out to several destinations through
   /// Transport::send_batch, so a whole-view multicast reaches the wire as
   /// one call (one syscall on a real transport). Counters advance exactly
-  /// as if transport_send_raw ran once per destination.
+  /// as if transport_send_raw ran once per destination, and the copy to
+  /// this endpoint is delivered locally as there.
   void transport_send_raw_batch(std::span<const Address> dests, ByteSpan wire,
                                 std::size_t payload_size);
 
@@ -329,6 +333,9 @@ class Stack {
   std::size_t headroom_budget_ = 0;
   std::size_t tailroom_ = 0;  // trailer space (CRC) reserved behind payloads
   std::unique_ptr<WireBufPool> pool_;
+  // Scratch for transport_send_raw_batch: the destinations other than this
+  // endpoint, reused so a cast allocates nothing for them.
+  std::vector<Address> remote_;
   StackStats stats_;
   HcpiMonitor* monitor_ = nullptr;
   std::uint32_t epoch_ = 0;

@@ -34,9 +34,10 @@ Com::Com(bool checksum) : checksum_(checksum), info_(make_info(checksum)) {}
 void Com::down(Group& g, DownEvent& ev) {
   switch (ev.type) {
     case DownType::kCast: {
-      // One serialization, one datagram per current view member. The sender
-      // is included: a member delivers its own multicasts. The event's
-      // message is consumed in place -- COM is the bottom of the stack.
+      // One serialization for every current view member, the sender
+      // included: a member delivers its own multicasts (its copy skips the
+      // wire). The event's message is consumed in place -- COM is the
+      // bottom of the stack.
       std::uint64_t fields[] = {stack().address().id, 0};
       stack().push_header(ev.msg, *this, fields);
       transmit(g, ev.msg, g.view().members());

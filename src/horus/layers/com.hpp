@@ -5,9 +5,11 @@
 //  of messages (by pushing the address of the source endpoint on each
 //  outgoing message)."
 //
-// COM turns kCast downcalls into one datagram per view member (including
-// the sender itself -- a member delivers its own multicasts), and kSend
-// downcalls into one datagram per explicit destination. It pushes the
+// COM turns kCast downcalls into one datagram per view member, and kSend
+// downcalls into one datagram per explicit destination. A member delivers
+// its own multicasts: the copy addressed to itself skips the wire
+// (Stack::transport_send_raw hands it to the endpoint's receive path), so
+// the network can never lose, delay, corrupt or MTU-drop it. It pushes the
 // group id and source address, and optionally appends a CRC-32 trailer to
 // each datagram, which is why the full COM provides P10 (garbling
 // detection) and P11 (source address) in Table 3. The "RAWCOM" variant

@@ -73,9 +73,15 @@ void Frag::down(Group& g, DownEvent& ev) {
 void Frag::up(Group& g, UpEvent& ev) {
   State& st = state<State>(g);
   if (ev.type == UpType::kLostMessage) {
-    // A fragment may have been irrecoverably lost; poison both streams of
-    // this source so partially-assembled messages are not mis-delivered.
+    // A fragment may have been irrecoverably lost; poison the stream it
+    // was lost from (both, if the layer below cannot tell) so a partially
+    // assembled message is not mis-delivered. The source's other stream
+    // is untouched: its reassembly lost nothing.
     for (bool is_send : {false, true}) {
+      const UpType stream = is_send ? UpType::kSend : UpType::kCast;
+      if (ev.lost_from != UpType::kLostMessage && ev.lost_from != stream) {
+        continue;
+      }
       auto it = st.assembling.find({ev.source, is_send});
       if (it != st.assembling.end()) {
         it->second.acc.clear();

@@ -65,6 +65,13 @@ void Mcast::down(Group& g, DownEvent& ev) {
 }
 
 void Mcast::up(Group& g, UpEvent& ev) {
+  if (ev.type == UpType::kLostMessage) {
+    // A source's casts and sends share its one unicast stream below, so a
+    // loss on it may be either.
+    ev.lost_from = UpType::kLostMessage;
+    pass_up(g, ev);
+    return;
+  }
   if (ev.type != UpType::kCast && ev.type != UpType::kSend) {
     pass_up(g, ev);
     return;

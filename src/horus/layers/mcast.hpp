@@ -3,7 +3,8 @@
 // The composition-algebra complement of NNAK: NNAK gives dependable
 // point-to-point channels but leaves casts best-effort; MCAST turns each
 // cast into one reliable unicast per view member (the sender included --
-// a member delivers its own multicasts). Per-pair FIFO below becomes
+// a member delivers its own multicasts, and that copy never reaches the
+// wire; see COM). Per-pair FIFO below becomes
 // per-sender FIFO multicast above, which is exactly what FRAG and MBRSHIP
 // require -- so MCAST:NNAK is the legal live-switch replacement for NAK
 // under a membership stack.

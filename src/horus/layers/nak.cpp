@@ -131,19 +131,7 @@ std::uint64_t Nak::min_cast_acked(Group& g, State& st) const {
   std::uint64_t m = UINT64_MAX;
   Address self = stack().address();
   for (const Address& a : g.view().members()) {
-    if (a == self) {
-      // Our own loopback delivery counts too: the local copy of a cast can
-      // be lost like any other datagram, and we must be able to repair our
-      // own stream from the buffer.
-      auto it = st.peers.find(a);
-      std::uint64_t got = 0;
-      if (it != st.peers.end()) {
-        auto sit = it->second.cast_in.find(st.epoch);
-        if (sit != it->second.cast_in.end()) got = sit->second.expected - 1;
-      }
-      m = std::min(m, got);
-      continue;
-    }
+    if (a == self) continue;  // our own copy never travels the network
     auto it = st.peers.find(a);
     if (it == st.peers.end() || it->second.cast_acked_epoch != st.epoch) {
       return 0;
@@ -156,17 +144,6 @@ std::uint64_t Nak::min_cast_acked(Group& g, State& st) const {
 void Nak::send_cast_now(Group& g, State& st, Message msg) {
   std::uint64_t seq = ++st.cast_out_seq;
   st.cast_buf[{st.epoch, seq}] = CapturedMsg::capture(msg);
-  // We know our own stream's extent the moment we send: if the loopback
-  // copy of our last cast is lost, no status message will ever tell us
-  // (we do not send status to ourselves), so record it here and let gap
-  // repair NAK it from our own buffer.
-  {
-    PeerState& me = peer(st, g, stack().address());
-    StreamIn& in = me.cast_in[st.epoch];
-    in.known_max = std::max(in.known_max, seq);
-    me.latest_epoch = std::max(me.latest_epoch, st.epoch);
-    watch_gap(g, st, in);
-  }
   if (st.cast_buf.size() > stack().config().nak_max_retain) {
     st.cast_buf.erase(st.cast_buf.begin());
   }
@@ -255,6 +232,7 @@ void Nak::handle_data(Group& g, State& st, UpEvent& ev, std::uint64_t stream,
       lost.type = UpType::kLostMessage;
       lost.source = src;
       lost.msg_id = seq;
+      lost.lost_from = stream == 0 ? UpType::kCast : UpType::kSend;
       pass_up(g, lost);
     } else {
       ++st.delivered_count;
@@ -289,6 +267,7 @@ void Nak::deliver_ready(Group& g, State& st, const Address& src, bool is_cast,
     ev.msg_id = seq;
     if (!m.has_value()) {
       ev.type = UpType::kLostMessage;
+      ev.lost_from = is_cast ? UpType::kCast : UpType::kSend;
     } else {
       ++st.delivered_count;
       ev.type = is_cast ? UpType::kCast : UpType::kSend;

@@ -108,6 +108,7 @@ void Nnak::drain(Group& g, State& st, const Address& src, PeerState& p) {
       ev.msg = std::move(*m);
     } else {
       ev.type = UpType::kLostMessage;
+      ev.lost_from = UpType::kSend;
     }
     pass_up(g, ev);
   }
@@ -154,6 +155,7 @@ void Nnak::up(Group& g, UpEvent& ev) {
         lost.type = UpType::kLostMessage;
         lost.source = ev.source;
         lost.msg_id = seq;
+        lost.lost_from = UpType::kSend;
         pass_up(g, lost);
       }
       drain(g, st, ev.source, p);

@@ -65,9 +65,7 @@ void Total::take_token(Group& g, State& st, std::uint64_t idle) {
   st.stamped = false;
   if (!st.pending.empty()) {
     drain_token(g, st);
-  } else if (resting(g, st)) {
-    release_token(g, st);
-  } else {
+  } else if (!release_token(g, st) && !resting(g, st)) {
     schedule_idle_pass(g, st);
   }
 }
@@ -94,17 +92,22 @@ void Total::drain_token(Group& g, State& st) {
   }
 }
 
-void Total::release_token(Group& g, State& st) {
-  // The token rests here: hand it to a requester, or keep it (parked).
+bool Total::release_token(Group& g, State& st) {
+  // Hand the token to the oldest requester still in the view. Without one
+  // a resting token stays here (parked) and an idle one waits out its idle
+  // delay. Before a full idle round the pass skips members in rank order,
+  // so it restarts the round: a member that stamped on its last tenure
+  // sent no request and counts on the token visiting it before it parks.
   while (!st.wanted.empty()) {
     Address to = st.wanted.front().member;
     if (g.view().contains(to)) {
       ++st.requests_served;
-      pass_token(g, st, to);
-      return;
+      pass_token(g, st, to, /*restart_round=*/!resting(g, st));
+      return true;
     }
     st.wanted.erase(st.wanted.begin());
   }
+  return false;
 }
 
 void Total::pass_on(Group& g, State& st) {
@@ -113,12 +116,12 @@ void Total::pass_on(Group& g, State& st) {
   pass_token(g, st, g.view().member((*my_rank + 1) % g.view().size()));
 }
 
-void Total::pass_token(Group& g, State& st, Address to) {
+void Total::pass_token(Group& g, State& st, Address to, bool restart_round) {
   stack().cancel(st.idle_timer);
   st.idle_timer = 0;
   st.have_token = false;
   ++st.tokens_passed;
-  std::uint64_t idle = st.stamped ? 0 : st.idle_in + 1;
+  std::uint64_t idle = st.stamped || restart_round ? 0 : st.idle_in + 1;
   st.must_request = !st.stamped;
   std::erase_if(st.wanted, [&](const Want& x) { return x.member == to; });
   Writer w;
@@ -166,7 +169,7 @@ void Total::on_request(Group& g, State& st, const Address& from, Reader& r) {
       })) {
     st.wanted.push_back(want);
   }
-  if (st.have_token && resting(g, st)) release_token(g, st);
+  if (st.have_token) release_token(g, st);
 }
 
 void Total::schedule_idle_pass(Group& g, State& st) {

@@ -20,8 +20,10 @@
 // stamps its own new casts at once, so a lone active sender pays only the
 // network. A member whose last tenure ended idle may be skipped by a
 // parking token, so when it next casts it sends one request to the other
-// members; they record it, and a parked (or about to park) holder hands
-// the token to a requester.
+// members; they record it, and a holder with nothing to stamp hands the
+// token to a requester at once. Out of rank order before a full idle
+// round, that pass restarts the round (no idle hops), so the token still
+// visits every member before it parks.
 // TOTAL requires virtual synchrony from below and -- as Section 7 notes --
 // needs no failure detector of its own: view changes from MBRSHIP carry all
 // the failure information it needs.
@@ -115,9 +117,11 @@ class Total final : public Layer {
 
   void take_token(Group& g, State& st, std::uint64_t idle);
   void drain_token(Group& g, State& st);
-  void release_token(Group& g, State& st);
+  /// Pass the held token to a requester; false if nobody wants it.
+  bool release_token(Group& g, State& st);
   void pass_on(Group& g, State& st);  ///< to the next rank
-  void pass_token(Group& g, State& st, Address to);
+  /// `restart_round` sends the token with no idle hops.
+  void pass_token(Group& g, State& st, Address to, bool restart_round = false);
   void request_token(Group& g, State& st);
   void on_request(Group& g, State& st, const Address& from, Reader& r);
   void schedule_idle_pass(Group& g, State& st);

@@ -342,6 +342,48 @@ TEST(Reconfig, LocalSwitchWithoutMembership) {
   expect_casts(w, w.eps[1]->address(), {"squeezed"});
 }
 
+// A member's own copy of a cast skips the wire but still carries its
+// frame's epoch stamp: one framed just before a local switch, and handed
+// back only after it, reaches the draining epoch that framed it.
+TEST(Reconfig, OwnCopyFramedBeforeASwitchDrainsByItsStamp) {
+  World w(2, "NNAK:COM");
+  std::vector<Address> members;
+  for (Endpoint* ep : w.eps) {
+    ep->join(kGroup);
+    members.push_back(ep->address());
+  }
+  for (Endpoint* ep : w.eps) ep->install_view(kGroup, members);
+  w.sys.run_for(sim::kSecond);
+
+  // Inside member 0's upcall both calls queue: the cast's task frames
+  // "mine" on epoch 0, then the switch's task installs epoch 1, and only
+  // then does the own copy the cast posted run.
+  Endpoint& a = *w.eps[0];
+  std::vector<std::string> got;
+  std::vector<std::uint32_t> epoch_at;
+  a.on_upcall([&](Group& g, UpEvent& ev) {
+    if (ev.type != UpType::kCast) return;
+    got.push_back(ev.msg.payload_string());
+    epoch_at.push_back(g.epoch_number());
+    if (ev.msg.payload_string() == "go") {
+      cast_str(a, "mine");
+      a.reconfigure(kGroup, "NNAK:COMPRESS:COM");
+    }
+  });
+  auto& stats = msg_path_stats();
+  const std::uint64_t shadow0 = stats.shadow_datagrams.load();
+  cast_str(*w.eps[1], "go");
+  w.sys.run_for(sim::kSecond);
+
+  EXPECT_EQ(a.group(kGroup).epoch_number(), 1u);
+  EXPECT_EQ(got, (std::vector<std::string>{"go", "mine"}));
+  EXPECT_EQ(epoch_at, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(stats.shadow_datagrams.load() - shadow0, 1u)
+      << "the own copy must reach epoch 0's shadow chain by its stamp";
+  EXPECT_EQ(w.logs[1].casts_from(a.address()),
+            (std::vector<std::string>{"mine"}));
+}
+
 // The epoch-0 shadow is permanent (it is the rendezvous for old-spec
 // peers), but intermediate epochs retire after their drain interval.
 TEST(Reconfig, IntermediateShadowRetires) {

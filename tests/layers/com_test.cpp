@@ -1,5 +1,8 @@
-// COM layer behaviour: fan-out to the view, source tagging, group
-// demultiplexing, checksum trailer (P10), spurious-traffic filtering.
+// COM layer behaviour: fan-out to the view, the sender's own copy
+// delivered off the wire, source tagging, group demultiplexing, checksum
+// trailer (P10), spurious-traffic filtering.
+#include <algorithm>
+
 #include "../common/test_util.hpp"
 #include "horus/util/hotpath_stats.hpp"
 
@@ -29,13 +32,85 @@ struct ComWorld : World {
 
 TEST(Com, CastFansOutToWholeView) {
   ComWorld w(4);
+  const std::uint64_t net0 = w.sys.net().stats().sent;
   w.eps[0]->cast(kGroup, Message::from_string("all"));
   w.sys.run_for(50 * sim::kMillisecond);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(w.logs[i].casts.size(), 1u) << "member " << i;
+    ASSERT_EQ(w.logs[i].casts.size(), 1u) << "member " << i;
+    EXPECT_EQ(w.logs[i].casts[0].payload, "all") << "member " << i;
   }
-  // One datagram per member (including self-delivery).
-  EXPECT_EQ(w.eps[0]->stack().stats().datagrams_sent, 4u);
+  // One datagram per other member: the sender's own copy skips the wire,
+  // though it still enters the stack through the endpoint's demux.
+  EXPECT_EQ(w.sys.net().stats().sent - net0, 3u);
+  EXPECT_EQ(w.eps[0]->stack().stats().datagrams_sent, 3u);
+  EXPECT_EQ(w.eps[0]->stack().stats().datagrams_received, 1u);
+}
+
+TEST(Com, NetworkCannotLoseOwnCasts) {
+  HorusSystem::Options o = quiet();
+  o.net.loss = 1.0;  // every datagram on the wire is dropped
+  ComWorld w(2, "COM", o);
+  w.eps[0]->cast(kGroup, Message::from_string("kept"));
+  w.sys.run_for(50 * sim::kMillisecond);
+  ASSERT_EQ(w.logs[0].casts.size(), 1u);
+  EXPECT_EQ(w.logs[0].casts[0].payload, "kept");
+  EXPECT_TRUE(w.logs[1].casts.empty());
+}
+
+/// A top layer that casts "pong" from inside its up() when its own "ping"
+/// comes back, and notes whether any upcall reaches it while it is still
+/// inside an earlier one.
+class PingEcho final : public Layer {
+ public:
+  explicit PingEcho(bool& reentered) : reentered_(reentered) {
+    info_.name = "ECHO";
+    info_.spec.name = "ECHO";
+    info_.spec.inherits = props::kAllProperties;
+  }
+  const LayerInfo& info() const override { return info_; }
+  void up(Group& g, UpEvent& ev) override {
+    if (inside_) reentered_ = true;
+    inside_ = true;
+    if (ev.type == UpType::kCast && ev.source == stack().address() &&
+        ev.msg.payload_string() == "ping") {
+      DownEvent out;
+      out.type = DownType::kCast;
+      out.msg = Message::from_string("pong");
+      pass_down(g, out);
+    }
+    pass_up(g, ev);
+    inside_ = false;
+  }
+
+ private:
+  LayerInfo info_;
+  bool& reentered_;
+  bool inside_ = false;
+};
+
+// A cast issued inside an upcall reaches its own sender in a later task,
+// never nested in the upcall that issued it.
+TEST(Com, OwnCastFromAnUpcallArrivesAfterItReturns) {
+  bool reentered = false;
+  HorusSystem::Options o = quiet();
+  o.stack_factory = [&reentered](const std::string& spec) {
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<PingEcho>(reentered));
+    for (auto& l : layers::make_stack(spec)) layers.push_back(std::move(l));
+    return layers;
+  };
+  ComWorld w(3, "COM", o);
+  w.eps[0]->cast(kGroup, Message::from_string("ping"));
+  w.sys.run_for(50 * sim::kMillisecond);
+  EXPECT_FALSE(reentered);
+  EXPECT_EQ(w.logs[0].all_cast_payloads(),
+            (std::vector<std::string>{"ping", "pong"}));
+  // COM alone orders nothing: the peers may see the two either way round.
+  for (std::size_t i = 1; i < 3; ++i) {
+    std::vector<std::string> got = w.logs[i].all_cast_payloads();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<std::string>{"ping", "pong"})) << "member " << i;
+  }
 }
 
 TEST(Com, SendGoesOnlyToSubset) {
@@ -124,7 +199,7 @@ TEST(Com, CastUsesOneBatchedTransportSend) {
   w.eps[0]->cast(kGroup, Message::from_string("batched"));
   w.sys.run_for(50 * sim::kMillisecond);
   EXPECT_EQ(msg_path_stats().batch_sends.load(), 1u);
-  EXPECT_EQ(w.eps[0]->stack().stats().datagrams_sent, 4u)
+  EXPECT_EQ(w.eps[0]->stack().stats().datagrams_sent, 3u)
       << "batching must not change per-destination accounting";
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(w.logs[i].casts.size(), 1u) << "member " << i;

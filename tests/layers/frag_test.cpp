@@ -110,6 +110,85 @@ TEST(Frag, TwoSendersConcurrently) {
   EXPECT_EQ(w.logs[0].casts_from(w.eps[1]->address()).at(0), b1);
 }
 
+/// Transport that records every datagram instead of delivering it, so a
+/// test can hand frames to a receiver in an order of its choosing.
+struct CaptureTransport final : Transport {
+  struct Frame {
+    Address src, dst;
+    Bytes bytes;
+  };
+  std::vector<Frame> sent;
+  void send(Address src, Address dst, ByteSpan datagram) override {
+    sent.push_back({src, dst, Bytes(datagram.begin(), datagram.end())});
+  }
+  /// Frames sent to `dst` since the last take, in send order.
+  std::vector<Bytes> take(Address dst) {
+    std::vector<Bytes> out;
+    std::vector<Frame> rest;
+    for (Frame& f : sent) {
+      if (f.dst == dst) {
+        out.push_back(std::move(f.bytes));
+      } else {
+        rest.push_back(std::move(f));
+      }
+    }
+    sent = std::move(rest);
+    return out;
+  }
+};
+
+// A message lost from a sender's cast stream must not poison the
+// reassembly of its unicast stream: a fragmented send whose fragments
+// straddle a cast-stream LOST_MESSAGE from the same source still arrives.
+TEST(Frag, CastStreamLossSparesTheUnicastBeingReassembled) {
+  sim::Scheduler sched;
+  CaptureTransport net;
+  StackConfig cfg;
+  cfg.nak_max_retain = 1;  // the sender keeps only its latest cast
+  props::PropertySet p1 = props::make_set({props::Property::kBestEffort});
+  Address a{1}, b{2};
+  Endpoint tx(a, cfg, layers::make_stack("FRAG:NAK:COM"), p1, net, sched);
+  Endpoint rx(b, cfg, layers::make_stack("FRAG:NAK:COM"), p1, net, sched);
+  AppLog log;
+  log.attach(rx);
+  for (Endpoint* ep : {&tx, &rx}) {
+    ep->join(kGroup);
+    ep->install_view(kGroup, {a, b});
+  }
+  auto deliver = [](Endpoint& to, Address from, Bytes frame) {
+    to.deliver_datagram(from, std::make_shared<const Bytes>(std::move(frame)));
+  };
+
+  // Three casts, then a unicast of three fragments; casts 1 and 2 have
+  // already left the sender's retransmit buffer.
+  for (const char* c : {"c1", "c2", "c3"}) {
+    tx.cast(kGroup, Message::from_string(c));
+  }
+  const std::string big = pattern(3000);
+  tx.send(kGroup, {b}, Message::from_payload(to_bytes(big)));
+  std::vector<Bytes> to_rx = net.take(b);
+  ASSERT_EQ(to_rx.size(), 6u);  // c1 c2 c3, then the unicast's fragments
+
+  // The first fragment, then cast 3: the receiver sees casts 1 and 2
+  // missing and asks for them; the sender can only answer with
+  // placeholders, which reach the receiver as LOST_MESSAGEs.
+  deliver(rx, a, to_rx[3]);
+  deliver(rx, a, to_rx[2]);
+  sched.run_for(2 * sim::kMillisecond);
+  std::vector<Bytes> to_tx = net.take(a);
+  ASSERT_FALSE(to_tx.empty()) << "the receiver never asked for casts 1-2";
+  for (Bytes& f : to_tx) deliver(tx, b, std::move(f));
+  for (Bytes& f : net.take(b)) deliver(rx, a, std::move(f));
+  EXPECT_EQ(log.lost, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(log.all_cast_payloads(), std::vector<std::string>{"c3"});
+
+  // The rest of the unicast.
+  deliver(rx, a, to_rx[4]);
+  deliver(rx, a, to_rx[5]);
+  ASSERT_EQ(log.sends.size(), 1u) << "the unicast was dropped as poisoned";
+  EXPECT_EQ(log.sends[0].payload, big);
+}
+
 TEST(Nfrag, ReassemblesOverUnreliableTransport) {
   // NFRAG sits straight on COM: no FIFO below it.
   HorusSystem::Options o;

@@ -367,6 +367,38 @@ TEST(Nak, IdleGroupRunsNoRepairTimer) {
   EXPECT_EQ(events, status_fires + datagrams);
 }
 
+// A casting member runs no repair timer either on a lossless network: its
+// own casts come back without touching the wire, so its own stream never
+// shows a gap. The events are the status and MBRSHIP stability gossip
+// timers and the datagrams they and the casts send; anything else is a
+// repair-timer fire.
+TEST(Nak, LosslessSenderRunsNoRepairTimer) {
+  HorusSystem::Options o;
+  o.net.loss = 0.0;
+  constexpr std::size_t kMembers = 3;
+  World w(kMembers, "MBRSHIP:FRAG:NAK:COM", o);
+  w.form_group();
+  ASSERT_TRUE(w.converged());
+  const std::uint64_t delivered0 = w.sys.net().stats().delivered.load();
+  constexpr int kCasts = 100;
+  constexpr sim::Duration kGap = 10 * sim::kMillisecond;
+  std::size_t events = 0;
+  for (int i = 0; i < kCasts; ++i) {
+    w.eps[1]->cast(kGroup, Message::from_string(std::to_string(i)));
+    events += w.sys.run_for(kGap);
+  }
+  for (std::size_t m = 0; m < kMembers; ++m) {
+    ASSERT_EQ(w.logs[m].casts.size(), static_cast<std::size_t>(kCasts));
+  }
+  const std::uint64_t datagrams =
+      w.sys.net().stats().delivered.load() - delivered0;
+  const sim::Duration ran = kCasts * kGap;
+  const std::size_t timer_fires =
+      kMembers * (ran / o.stack.nak_status_interval +
+                  ran / o.stack.stability_gossip_interval);
+  EXPECT_EQ(events, timer_fires + datagrams) << "a repair timer fired";
+}
+
 // One sender, a burst far beyond the window. Were the window opened only by
 // the periodic status (256 casts per 20 ms), 3000 casts would take at
 // least 3000 / 256 * 20 ms ~ 234 ms to deliver. A cast at half a window

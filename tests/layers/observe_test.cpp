@@ -160,8 +160,8 @@ TEST(LogStore, ConcurrentAppendAndSnapshotIsRaceFree) {
 
 TEST(LogStore, EndpointsShareOneStore) {
   // The in-system version of the hammer above: three endpoints journal
-  // into one store while the test takes snapshots mid-flight. COM
-  // includes the sender in its own multicasts, so every member journals
+  // into one store while the test takes snapshots mid-flight. A member
+  // delivers its own multicasts (off the wire), so every member journals
   // every cast.
   auto store = std::make_shared<layers::LogStore>();
   HorusSystem::Options o = quiet();

@@ -281,6 +281,28 @@ TEST(Total, RequestFetchesParkedToken) {
   }
 }
 
+// The token can come back by rank to a member with nothing to stamp while
+// another member's request is outstanding: that holder hands it to the
+// requester at once instead of waiting out its idle delay.
+TEST(Total, IdleHolderHandsTheTokenToARequesterAtOnce) {
+  World w(3, kStack, lossless());
+  w.form_group();
+  ASSERT_TRUE(w.converged());
+  constexpr sim::Duration kFew = 3 * sim::kMillisecond;
+  // Park the token at member 2.
+  EXPECT_LE(cast_and_wait(w, 2, "park", kFew), kFew);
+  w.sys.run_for(100 * sim::kMillisecond);
+  ASSERT_EQ(total_stat(w, 2, "parked"), 1u);
+  // Member 2 stamps a cast of its own as member 1 asks, so the token
+  // leaves it with no idle hops: member 1 stamps and passes it on by rank,
+  // back to member 2, which has nothing to stamp. Member 0 asks meanwhile.
+  w.eps[2]->cast(kGroup, Message::from_string("own"));
+  w.eps[1]->cast(kGroup, Message::from_string("first"));
+  w.sys.run_for(400);
+  EXPECT_LT(cast_and_wait(w, 0, "second", kFew), kFew)
+      << "the token waited out an idle delay with a request outstanding";
+}
+
 TEST(Total, ParkedHolderCrashDoesNotStrandRequester) {
   World w(4, kStack, lossless());
   w.form_group();

@@ -1,6 +1,7 @@
 // UdpTransport over real loopback sockets: datagrams through the kernel,
-// rx edge cases hitting exactly their drop counter, and the batched
-// sendmmsg path carrying a real multicast fan-out.
+// rx edge cases hitting exactly their drop counter, the batched sendmmsg
+// path carrying a real multicast fan-out, and a sender's own copy kept off
+// its socket.
 #include "horus/net/udp.hpp"
 
 #include <gtest/gtest.h>
@@ -90,62 +91,110 @@ TEST_F(UdpRxEdgeCases, KnownPeerGarbageIsReceivedThenDroppedByDemux) {
   EXPECT_EQ(s.rx_unknown_peer.load(), 0u);
 }
 
-TEST(UdpTransport, TwoNodesCastOverRealSockets_BatchedTx) {
-  const std::vector<std::uint16_t> ports = free_ports(2);
+TEST(UdpTransport, ThreeNodesCastOverRealSockets_BatchedTx) {
+  const std::vector<std::uint16_t> ports = free_ports(3);
   AddressBook book = AddressBook::parse(loopback_entry(1, ports[0]) +
-                                       loopback_entry(2, ports[1]));
+                                       loopback_entry(2, ports[1]) +
+                                       loopback_entry(3, ports[2]));
   NodeConfig cfg;
-  NodeRuntime n1(book, Address{1}, cfg);
-  NodeRuntime n2(book, Address{2}, cfg);
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    nodes.push_back(std::make_unique<NodeRuntime>(book, Address{id}, cfg));
+  }
 
   std::mutex mu;
-  std::vector<std::string> got1, got2;
-  std::vector<View> views1, views2;
-  auto attach = [&mu](Endpoint& ep, std::vector<std::string>& got,
-                      std::vector<View>& views) {
-    ep.on_upcall([&mu, &got, &views](Group&, UpEvent& ev) {
+  std::vector<std::vector<std::string>> got(3);
+  std::vector<std::vector<View>> views(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    nodes[i]->endpoint().on_upcall([&mu, &got, &views, i](Group&, UpEvent& ev) {
       std::lock_guard lock(mu);
-      if (ev.type == UpType::kCast) got.push_back(ev.msg.payload_string());
-      if (ev.type == UpType::kView) views.push_back(ev.view);
+      if (ev.type == UpType::kCast) got[i].push_back(ev.msg.payload_string());
+      if (ev.type == UpType::kView) views[i].push_back(ev.view);
     });
-  };
-  attach(n1.endpoint(), got1, views1);
-  attach(n2.endpoint(), got2, views2);
+  }
 
   GroupId g{11};
-  n1.endpoint().join(g);
-  n2.endpoint().join(g, Address{1});
-  auto pump = [&](std::chrono::milliseconds total) {
-    auto end = std::chrono::steady_clock::now() + total;
-    while (std::chrono::steady_clock::now() < end) {
-      n1.run_for(10ms);
-      n2.run_for(10ms);
-    }
-  };
-  // Wait for the two-member view on both nodes.
-  auto both_joined = [&] {
+  nodes[0]->endpoint().join(g);
+  for (std::size_t i = 1; i < 3; ++i) {
+    nodes[i]->endpoint().join(g, Address{1});
+  }
+  // Wait for the three-member view on every node.
+  auto all_joined = [&] {
     std::lock_guard lock(mu);
-    return !views1.empty() && views1.back().size() == 2 &&
-           !views2.empty() && views2.back().size() == 2;
+    for (const auto& v : views) {
+      if (v.empty() || v.back().size() != 3) return false;
+    }
+    return true;
   };
-  for (int i = 0; i < 300 && !both_joined(); ++i) pump(10ms);
-  ASSERT_TRUE(both_joined()) << "two-member view never formed";
+  for (int i = 0; i < 300 && !all_joined(); ++i) nodes[0]->run_for(10ms);
+  ASSERT_TRUE(all_joined()) << "three-member view never formed";
 
-  n1.endpoint().cast(g, Message::from_string("from-1"));
-  n2.endpoint().cast(g, Message::from_string("from-2"));
+  for (std::size_t i = 0; i < 3; ++i) {
+    nodes[i]->endpoint().cast(
+        g, Message::from_string("from-" + std::to_string(i + 1)));
+  }
   auto all_delivered = [&] {
     std::lock_guard lock(mu);
-    return got1.size() == 2 && got2.size() == 2;
+    for (const auto& v : got) {
+      if (v.size() != 3) return false;
+    }
+    return true;
   };
-  for (int i = 0; i < 300 && !all_delivered(); ++i) pump(10ms);
+  for (int i = 0; i < 300 && !all_delivered(); ++i) nodes[0]->run_for(10ms);
   ASSERT_TRUE(all_delivered());
 
-  // The 2-member fan-out went through the wire as sendmmsg batches.
-  EXPECT_GE(n1.udp().stats().tx_batches.load(), 1u);
-  EXPECT_GT(n1.udp().stats().tx_datagrams.load(), 0u);
-  EXPECT_GT(n2.udp().stats().rx_datagrams.load(), 0u);
-  n1.shutdown();
-  n2.shutdown();
+  // Each cast's two remote copies went through the wire as sendmmsg
+  // batches.
+  EXPECT_GE(nodes[0]->udp().stats().tx_batches.load(), 1u);
+  EXPECT_GT(nodes[0]->udp().stats().tx_datagrams.load(), 0u);
+  EXPECT_GT(nodes[1]->udp().stats().rx_datagrams.load(), 0u);
+  for (auto& n : nodes) n->shutdown();
+}
+
+// On a bare COM stack (views installed by hand, so nothing else is on the
+// wire) one cast among three nodes is exactly two datagrams: the sender's
+// own copy is delivered without touching its socket.
+TEST(UdpTransport, ThreeNodeCastSendsTwoDatagrams) {
+  const std::vector<std::uint16_t> ports = free_ports(3);
+  AddressBook book = AddressBook::parse(loopback_entry(1, ports[0]) +
+                                       loopback_entry(2, ports[1]) +
+                                       loopback_entry(3, ports[2]));
+  NodeConfig cfg;
+  cfg.spec = "COM";
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    nodes.push_back(std::make_unique<NodeRuntime>(book, Address{id}, cfg));
+  }
+  std::mutex mu;
+  std::vector<std::vector<std::string>> got(3);
+  GroupId g{12};
+  for (std::size_t i = 0; i < 3; ++i) {
+    Endpoint& ep = nodes[i]->endpoint();
+    ep.on_upcall([&mu, &got, i](Group&, UpEvent& ev) {
+      std::lock_guard lock(mu);
+      if (ev.type == UpType::kCast) got[i].push_back(ev.msg.payload_string());
+    });
+    ep.join(g);
+    ep.install_view(g, {Address{1}, Address{2}, Address{3}});
+  }
+  nodes[0]->run_for(50ms);
+
+  nodes[0]->endpoint().cast(g, Message::from_string("once"));
+  auto all_delivered = [&] {
+    std::lock_guard lock(mu);
+    for (const auto& v : got) {
+      if (v.size() != 1) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(eventually(all_delivered));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got[i], std::vector<std::string>{"once"}) << "node " << i + 1;
+  }
+  for (auto& n : nodes) n->shutdown();
+  EXPECT_EQ(nodes[0]->udp().stats().tx_datagrams.load(), 2u);
+  EXPECT_EQ(nodes[0]->endpoint().stack().stats().datagrams_sent.load(), 2u);
+  EXPECT_EQ(nodes[0]->udp().stats().rx_datagrams.load(), 0u);
 }
 
 }  // namespace
