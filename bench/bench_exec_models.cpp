@@ -44,14 +44,16 @@ using runtime::Task;
 
 /// Direct calls; tasks run immediately and may re-enter the stack.
 class InlineExecutor final : public runtime::Executor {
-  void enqueue(GroupKey /*key*/, Task t) override { t(); }
+ public:
+  void post(GroupKey /*key*/, Task t) override { t(); }
 };
 
 /// Event-counter model: tasks carry sequence numbers assigned at post time
 /// and execute strictly in sequence order. Thread-safe. All work runs
 /// eagerly inside post(), so drain() has nothing to do.
 class SequencedExecutor final : public runtime::Executor {
-  void enqueue(GroupKey /*key*/, Task t) override {
+ public:
+  void post(GroupKey /*key*/, Task t) override {
     std::unique_lock lock(mu_);
     pending_[next_ticket_++] = std::move(t);
     if (running_) return;
@@ -77,6 +79,7 @@ class SequencedExecutor final : public runtime::Executor {
     running_ = false;
   }
 
+ private:
   std::mutex mu_;
   std::uint64_t next_ticket_ = 0;   // next sequence number to hand out
   std::uint64_t next_to_run_ = 0;   // next sequence number allowed to run
@@ -97,9 +100,9 @@ class ThreadPoolExecutor final : public runtime::Executor {
   /// analysis cannot follow, hence the opt-out; the dynamic sanitizers
   /// cover these paths instead.
   void drain() NO_THREAD_SAFETY_ANALYSIS;
+  void post(GroupKey key, Task t) override;
 
  private:
-  void enqueue(GroupKey key, Task t) override;
   void worker() NO_THREAD_SAFETY_ANALYSIS;
 
   util::Mutex mu_;
@@ -128,7 +131,7 @@ ThreadPoolExecutor::~ThreadPoolExecutor() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPoolExecutor::enqueue(GroupKey /*key*/, Task t) {
+void ThreadPoolExecutor::post(GroupKey /*key*/, Task t) {
   {
     util::MutexLock lock(mu_);
     queue_.push_back(std::move(t));

@@ -7,7 +7,7 @@
 //     of casts pushed until both sides deliver. Reports msgs/s end to end
 //     and datagrams/cast (wire cost of one multicast through
 //     MBRSHIP:FRAG:NAK:COM, NAK gossip included).
-//   * BM_UdpSendBatch: UdpTransport::send_batch to N destinations, no
+//   * BM_UdpSendBatch: one UdpTransport::send to N destinations, no
 //     stack -- what one sendmmsg burst costs vs N sendto calls.
 #include <benchmark/benchmark.h>
 
@@ -136,12 +136,12 @@ void BM_UdpSendBatch(benchmark::State& state) {
   ::close(hold[0]);  // free the self port for the transport to bind
   hold.erase(hold.begin());
   net::AddressBook book = net::AddressBook::parse(book_text(ports));
-  net::UdpTransport udp(book, Address{1});
+  net::UdpTransport udp(book, Address{1}, StackConfig{}.mtu);
   std::vector<Address> dsts;
   for (int i = 0; i < ndst; ++i) dsts.push_back(Address{2 + static_cast<std::uint64_t>(i)});
   Bytes payload(256, 0x55);
   for (auto _ : state) {
-    udp.send_batch(Address{1}, dsts, payload);
+    udp.send(Address{1}, dsts, payload);
   }
   for (int fd : hold) ::close(fd);
   state.SetItemsProcessed(state.iterations() * ndst);

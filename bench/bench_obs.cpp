@@ -5,10 +5,8 @@
 // composed stack with the runtime switch enabled vs disabled -- the same
 // binary, so the delta is the probes' dynamic cost (flight ring stores,
 // 1/256-sampled clock pairs); BM_DeepCast_ProbeOverhead turns that delta
-// into the robust paired `overhead_pct` number. Building with
-// -DHORUS_METRICS=OFF removes even the disabled-path relaxed load;
-// compare a metrics-off build's BM_DeepCast_Off against this one to see
-// that residue (it is below measurement noise).
+// into the robust paired `overhead_pct` number. The probes are always
+// compiled in; with the switch off each probe site costs one relaxed load.
 //
 // The micro-benches price the individual instruments so regressions are
 // attributable: a counter add and a flight-recorder record must stay in
@@ -24,6 +22,7 @@
 #include "bench_util.hpp"
 #include "horus/obs/flight_recorder.hpp"
 #include "horus/obs/metrics.hpp"
+#include "horus/runtime/executor.hpp"
 
 using namespace horus;
 using namespace horus::bench;
@@ -148,17 +147,17 @@ void BM_FlightRingRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRingRecord);
 
-void BM_QueueDelayWrap(benchmark::State& state) {
-  // Cost of wrapping + running an executor task through the sampled
-  // queue-delay probe (63/64 of iterations take the pass-through branch).
+void BM_GroupExecutorPost(benchmark::State& state) {
+  // Cost of posting + running a task through GroupExecutor with the
+  // sampled queue-delay probe on (1 post in 64 takes two clock reads).
+  runtime::GroupExecutor exec;
   std::uint64_t n = 0;
   for (auto _ : state) {
-    auto t = obs::wrap_queue_delay_probe([&n] { ++n; });
-    t();
+    exec.post(1, [&n] { ++n; });
   }
   benchmark::DoNotOptimize(n);
 }
-BENCHMARK(BM_QueueDelayWrap);
+BENCHMARK(BM_GroupExecutorPost);
 
 void BM_RegistrySnapshot(benchmark::State& state) {
   obs::MetricsRegistry reg;

@@ -45,25 +45,32 @@ for stack in "${stacks[@]}"; do
 done
 
 # Extra corpus stacks, each swept over its own sequential seed range. An
-# optional `casts=N` token sets the casts per member per round (--casts=N).
+# optional `casts=N` token sets the casts per member per round (--casts=N),
+# and an optional `partitions=N` token the partitions per run
+# (--partitions=N).
 # An optional `switch@MS=SPEC` token live-reconfigures the group to SPEC
 # mid-workload (MS=0 derives a seed-dependent switch time); a `clean`
 # token runs the stack as is. Both run without crashes/partitions, so the
 # delivery oracle (cross-epoch on a switch) enforces full delivery -- loss
 # and duplication stay at the scenario defaults.
 while IFS= read -r line; do
-  [[ "$line" =~ ^stack=([A-Z0-9_:!]+)[[:space:]]+seeds=([0-9]+)([[:space:]]+casts=([0-9]+))?([[:space:]]+switch@([0-9]+)=([A-Z0-9_:]+)|[[:space:]]+(clean))?$ ]] || continue
+  [[ "$line" =~ ^stack=([A-Z0-9_:!]+)[[:space:]]+seeds=([0-9]+)([[:space:]]+casts=([0-9]+))?([[:space:]]+partitions=([0-9]+))?([[:space:]]+switch@([0-9]+)=([A-Z0-9_:]+)|[[:space:]]+(clean))?$ ]] || continue
   stack="${BASH_REMATCH[1]}"
   nseeds="${BASH_REMATCH[2]}"
   casts="${BASH_REMATCH[4]}"
-  switch_ms="${BASH_REMATCH[6]}"
-  switch_spec="${BASH_REMATCH[7]}"
-  clean="${BASH_REMATCH[8]}"
+  partitions="${BASH_REMATCH[6]}"
+  switch_ms="${BASH_REMATCH[8]}"
+  switch_spec="${BASH_REMATCH[9]}"
+  clean="${BASH_REMATCH[10]}"
   extra=()
   label="$stack"
   if [[ -n "$casts" ]]; then
     extra+=("--casts=$casts")
-    label="$stack casts=$casts"
+    label="$label casts=$casts"
+  fi
+  if [[ -n "$partitions" ]]; then
+    extra+=("--partitions=$partitions")
+    label="$label partitions=$partitions"
   fi
   if [[ -n "$switch_spec" ]]; then
     extra+=("--switch-spec=$switch_spec" "--switch-at-ms=$switch_ms"

@@ -8,9 +8,7 @@
 #include "horus/check/broken.hpp"
 #include "horus/util/rng.hpp"
 
-#ifdef HORUS_METRICS
 #include "horus/obs/flight_recorder.hpp"
-#endif
 
 namespace horus::check {
 namespace {
@@ -96,12 +94,10 @@ RunResult run_scenario(const Scenario& scn, std::uint64_t seed,
   Scenario s = scn;
   s.sanitize();
 
-#ifdef HORUS_METRICS
   // One run per ring window: after this run the flight recorder holds
   // exactly this seed's boundary events, which is what horus-check dumps
   // next to a failing repro (it replays the artifact first).
   obs::flight_recorder().reset();
-#endif
 
   RunResult res;
   res.plan = opts.plan ? *opts.plan : derive_plan(s, seed);

@@ -4,9 +4,7 @@
 
 #include "horus/util/hotpath_stats.hpp"
 
-#ifdef HORUS_METRICS
 #include "horus/obs/flight_recorder.hpp"
-#endif
 
 namespace horus {
 
@@ -115,7 +113,6 @@ void Endpoint::deliver_datagram(Address src,
   post_to(
       gid, race::Origin::kDatagram,
       [src, datagram = std::move(datagram)](Group& grp, Stack& s) mutable {
-#ifdef HORUS_METRICS
         if (obs::enabled()) {
           grp.flight_ring()->record(
               obs::FrEvent::kDatagramRx,
@@ -123,7 +120,6 @@ void Endpoint::deliver_datagram(Address src,
               static_cast<std::uint32_t>(datagram->size()),
               static_cast<std::uint64_t>(s.now()), src.id);
         }
-#endif
         s.layers().back()->raw_receive(grp, src, std::move(datagram),
                                        Stack::kFramePrefix);
       },

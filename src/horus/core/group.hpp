@@ -27,9 +27,7 @@
 #include "horus/core/view.hpp"
 #include "horus/properties/property.hpp"
 
-#ifdef HORUS_METRICS
 #include "horus/obs/flight_recorder.hpp"
-#endif
 
 namespace horus {
 
@@ -53,9 +51,7 @@ class Group {
     e.stack = &stack;
     e.stamp = stamp;
     epochs_.push_back(std::move(e));
-#ifdef HORUS_METRICS
     flight_ring_ = obs::flight_recorder().ring(gid_.id);
-#endif
   }
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
@@ -175,12 +171,10 @@ class Group {
   [[nodiscard]] props::PropertySet required() const { return required_; }
   void set_required(props::PropertySet p) { required_ = p; }
 
-#ifdef HORUS_METRICS
   /// This group's flight-recorder ring (docs/obs.md), resolved once at
   /// construction so hot-path recording never takes the recorder's map
-  /// lock. Never null when compiled in.
+  /// lock. Never null.
   [[nodiscard]] obs::GroupRing* flight_ring() const { return flight_ring_; }
-#endif
 
 #ifdef HORUS_CHECK_RACES
   /// Ownership token for horus-race (race::owner_key of the owning
@@ -199,9 +193,7 @@ class Group {
   bool destroyed_ = false;
   props::PropertySet required_ = 0;
   std::vector<Epoch> epochs_;
-#ifdef HORUS_METRICS
   obs::GroupRing* flight_ring_ = nullptr;
-#endif
 #ifdef HORUS_CHECK_RACES
   std::uint64_t race_owner_ = 0;
 #endif

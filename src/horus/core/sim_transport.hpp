@@ -16,17 +16,13 @@ class SimTransport final : public Transport {
  public:
   explicit SimTransport(sim::SimNetwork& net) : net_(&net) {}
 
-  void send(Address src, Address dst, ByteSpan datagram) override {
-    net_->send(src.id, dst.id, datagram);
-  }
-
   /// One network call for the whole fan-out, so the simulated wire stays
-  /// behaviorally aligned with the real UDP sendmmsg path (same fault
-  /// decision indices as a per-destination loop; one buffer copy shared
-  /// by all clean deliveries). The id scratch is reused, so no call pays
-  /// for an allocation.
-  void send_batch(Address src, std::span<const Address> dsts,
-                  ByteSpan datagram) override {
+  /// behaviorally aligned with the real UDP sendmmsg path (one fault
+  /// decision per destination, in order; one buffer copy shared by all
+  /// clean deliveries). The id scratch is reused, so no call pays for an
+  /// allocation.
+  void send(Address src, std::span<const Address> dsts,
+            ByteSpan datagram) override {
     ids_.clear();
     for (const Address& d : dsts) ids_.push_back(d.id);
     net_->send_multi(src.id, ids_, datagram);

@@ -8,10 +8,8 @@
 #include "horus/util/hotpath_stats.hpp"
 #include "horus/util/rng.hpp"
 
-#ifdef HORUS_METRICS
 #include "horus/obs/flight_recorder.hpp"
 #include "horus/obs/metrics.hpp"
-#endif
 
 namespace horus {
 namespace {
@@ -71,7 +69,6 @@ Stack::Stack(StackConfig cfg, std::vector<std::unique_ptr<Layer>> layers,
   }
   stamp_ = static_cast<std::uint16_t>((epoch_ & 0xffu) | ((h & 0xffu) << 8));
 
-#ifdef HORUS_METRICS
   // Crossing totals come from the flight recorder's per-ring counts
   // (mirrored into the registry as stack.forward_* -- metrics.cpp), so the
   // probes only resolve the sampled latency histograms here.
@@ -83,7 +80,6 @@ Stack::Stack(StackConfig cfg, std::vector<std::unique_ptr<Layer>> layers,
     down_lat_.push_back(&reg.histogram("layer.down_ns." + l->info().name));
     up_lat_.push_back(&reg.histogram("layer.up_ns." + l->info().name));
   }
-#endif
 
   compile_layout();
   compile_skip_tables();
@@ -184,7 +180,6 @@ void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
     next = from_index + 1;
   }
   if (next >= layers_.size()) return;  // absorbed below the bottom
-#ifdef HORUS_METRICS
   if (obs::enabled()) {
     const std::uint64_t seq = g.flight_ring()->record(
         from_index == kAppSink ? obs::FrEvent::kDowncall
@@ -201,7 +196,6 @@ void Stack::forward_down(std::size_t from_index, Group& g, DownEvent& ev) {
       return;
     }
   }
-#endif
   layers_[next]->down(g, ev);
 }
 
@@ -217,18 +211,15 @@ void Stack::forward_up(std::size_t from_index, Group& g, UpEvent& ev) {
     next = from_index - 1;
   }
   if (next == kAppSink) {
-#ifdef HORUS_METRICS
     if (obs::enabled()) {
       g.flight_ring()->record(
           obs::FrEvent::kAppDeliver, obs::kFrNoLayer,
           static_cast<std::uint32_t>(ev.msg.payload_size()),
           static_cast<std::uint64_t>(sched_.now()), obs_self_id_);
     }
-#endif
     app_up(g, ev);
     return;
   }
-#ifdef HORUS_METRICS
   if (obs::enabled()) {
     const std::uint64_t seq = g.flight_ring()->record(
         obs::FrEvent::kForwardUp, static_cast<std::uint8_t>(next),
@@ -241,7 +232,6 @@ void Stack::forward_up(std::size_t from_index, Group& g, UpEvent& ev) {
       return;
     }
   }
-#endif
   layers_[next]->up(g, ev);
 }
 
@@ -259,12 +249,6 @@ void Stack::app_up(Group& g, UpEvent& ev) {
     return;
   }
   owner_->deliver_app_upcall(g, ev);
-}
-
-void Stack::transport_send_raw(Address dst, ByteSpan wire,
-                               std::size_t payload_size) {
-  transport_send_raw_batch(std::span<const Address>(&dst, 1), wire,
-                           payload_size);
 }
 
 void Stack::transport_send_raw_batch(std::span<const Address> dests,
@@ -286,12 +270,10 @@ void Stack::transport_send_raw_batch(std::span<const Address> dests,
                                         std::memory_order_relaxed);
     stats_.header_bytes_sent.fetch_add(n * (wire.size() - payload_size),
                                        std::memory_order_relaxed);
-    if (n == 1) {
-      transport_.send(address(), remote[0], wire);
-    } else {
+    if (n > 1) {
       msg_path_stats().batch_sends.fetch_add(1, std::memory_order_relaxed);
-      transport_.send_batch(address(), remote, wire);
     }
+    transport_.send(address(), remote, wire);
   }
   // The endpoint's receive path posts it as a task of its own, so it is
   // never delivered inside the descent that sent it, and routes it by its
@@ -395,11 +377,7 @@ std::string Stack::dump(Group& g, const std::string& layer_name) const {
   // The flight recorder answers to the dump downcall like a pseudo-layer:
   // dump(g, "FLIGHT") returns the group's recent-event ring (docs/obs.md).
   if (layer_name == "FLIGHT") {
-#ifdef HORUS_METRICS
     return obs::flight_recorder().dump(g.gid().id);
-#else
-    return "flight recorder compiled out (HORUS_METRICS=OFF)\n";
-#endif
   }
   std::string out;
   if (layer_name.empty()) {
@@ -417,12 +395,10 @@ void Stack::init_group(Group& g) {
   slots.clear();
   slots.reserve(layers_.size());
   for (const auto& l : layers_) slots.push_back(l->make_state(g));
-#ifdef HORUS_METRICS
   // Teach the flight recorder this group's layer names so dumps print
   // "NAK" instead of "#3". Last chain wins after a reconfig -- the current
   // epoch is what a post-mortem reader wants labeled.
   obs::flight_recorder().set_layers(g.gid().id, spec_string());
-#endif
 }
 
 std::string Stack::spec_string() const {

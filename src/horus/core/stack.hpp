@@ -26,9 +26,7 @@
 #include "horus/sim/scheduler.hpp"
 #include "horus/util/crypto.hpp"
 
-#ifdef HORUS_METRICS
 #include "horus/obs/metrics.hpp"
-#endif
 
 namespace horus {
 
@@ -108,18 +106,13 @@ struct StackConfig {
 class Transport {
  public:
   virtual ~Transport() = default;
-  virtual void send(Address src, Address dst, ByteSpan datagram) = 0;
 
-  /// One datagram to many destinations (the multicast fan-out COM performs
-  /// for every cast). Default: a send() loop, so simple transports need
-  /// only the unary hook. Real transports override it to reach the kernel
-  /// in one syscall (sendmmsg); the simulated network overrides it to share
-  /// one buffer copy across the fan-out. Overrides must behave exactly like
-  /// the loop: same per-destination outcomes, in `dsts` order.
-  virtual void send_batch(Address src, std::span<const Address> dsts,
-                          ByteSpan datagram) {
-    for (const Address& dst : dsts) send(src, dst, datagram);
-  }
+  /// One datagram to every address in `dsts`, in order: one destination
+  /// for a unicast, the whole view for COM's multicast fan-out. A real
+  /// transport reaches the kernel in one syscall (sendmmsg); the simulated
+  /// network shares one buffer copy across the fan-out.
+  virtual void send(Address src, std::span<const Address> dsts,
+                    ByteSpan datagram) = 0;
 };
 
 /// Counters for benches and tests. Only the thread that runs the stack
@@ -201,18 +194,13 @@ class Stack {
   void app_up(Group& g, UpEvent& ev);
 
   /// Transmit an already-serialized datagram (transport layers that add
-  /// trailers serialize themselves); `wire` must already begin with the
-  /// group-id prefix. `payload_size` is for stats only. A datagram for this
-  /// endpoint skips the transport: one copy of the frame goes to
+  /// trailers serialize themselves) to `dests` through one Transport::send,
+  /// so a whole-view multicast reaches the wire as one call (one syscall on
+  /// a real transport). `wire` must already begin with the group-id prefix;
+  /// `payload_size` is for stats only. The copy addressed to this endpoint
+  /// skips the transport: one copy of the frame goes to
   /// Endpoint::deliver_datagram, which delivers it in a task of its own,
   /// and the stats count only what the transport carries.
-  void transport_send_raw(Address dst, ByteSpan wire, std::size_t payload_size);
-
-  /// Fan one serialized datagram out to several destinations through
-  /// Transport::send_batch, so a whole-view multicast reaches the wire as
-  /// one call (one syscall on a real transport). Counters advance exactly
-  /// as if transport_send_raw ran once per destination, and the copy to
-  /// this endpoint is delivered locally as there.
   void transport_send_raw_batch(std::span<const Address> dests, ByteSpan wire,
                                 std::size_t payload_size);
 
@@ -340,7 +328,6 @@ class Stack {
   HcpiMonitor* monitor_ = nullptr;
   std::uint32_t epoch_ = 0;
   std::uint16_t stamp_ = 0;
-#ifdef HORUS_METRICS
   // horus-obs (docs/obs.md): per-layer latency histograms and boundary
   // counters, resolved once at construction (registry addresses are
   // stable), so a probe hit is pointer-indexed -- no name lookup.
@@ -349,7 +336,6 @@ class Stack {
   // Endpoint address id, cached so the per-crossing flight-recorder probe
   // doesn't chase owner_->address() (the address is fixed at construction).
   std::uint64_t obs_self_id_ = 0;
-#endif
 };
 
 }  // namespace horus

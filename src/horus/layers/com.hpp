@@ -8,10 +8,10 @@
 // COM turns kCast downcalls into one datagram per view member, and kSend
 // downcalls into one datagram per explicit destination. A member delivers
 // its own multicasts: the copy addressed to itself skips the wire
-// (Stack::transport_send_raw hands it to the endpoint's receive path), so
-// the network can never lose, delay, corrupt or MTU-drop it. It pushes the
-// group id and source address, and optionally appends a CRC-32 trailer to
-// each datagram, which is why the full COM provides P10 (garbling
+// (Stack::transport_send_raw_batch hands it to the endpoint's receive
+// path), so the network can never lose, delay, corrupt or MTU-drop it. It
+// pushes the group id and source address, and optionally appends a CRC-32
+// trailer to each datagram, which is why the full COM provides P10 (garbling
 // detection) and P11 (source address) in Table 3. The "RAWCOM" variant
 // omits the checksum (providing only P11), for stacks that layer CHKSUM
 // explicitly.

@@ -4,9 +4,7 @@
 
 #include "horus/util/log.hpp"
 
-#ifdef HORUS_METRICS
 #include "horus/obs/metrics.hpp"
-#endif
 
 namespace horus::layers {
 namespace {
@@ -31,24 +29,13 @@ LayerInfo make_info() {
   return li;
 }
 
-void bump(obs::Counter* c) {
-#ifdef HORUS_METRICS
-  if (obs::enabled()) c->add();
-#else
-  (void)c;
-#endif
-}
-
 }  // namespace
 
-Nak::Nak() : info_(make_info()) {
-#ifdef HORUS_METRICS
-  obs::MetricsRegistry& reg = obs::metrics();
-  requests_sent_ = &reg.counter("nak.requests_sent");
-  retransmitted_ = &reg.counter("nak.retransmissions");
-  placeholders_sent_ = &reg.counter("nak.placeholders_sent");
-#endif
-}
+Nak::Nak()
+    : info_(make_info()),
+      requests_sent_(obs::metrics().counter("nak.requests_sent")),
+      retransmitted_(obs::metrics().counter("nak.retransmissions")),
+      placeholders_sent_(obs::metrics().counter("nak.placeholders_sent")) {}
 
 std::unique_ptr<LayerState> Nak::make_state(Group& g) {
   auto st = std::make_unique<State>();
@@ -311,7 +298,7 @@ void Nak::handle_nakreq(Group& g, State& st, const Address& src, Reader r) {
       }
       if (cap != nullptr) {
         ++st.retransmissions;
-        bump(retransmitted_);
+        if (obs::enabled()) retransmitted_.add();
         Message m = cap->to_tx(stack());
         std::uint64_t fields[] = {kData, stream, epoch, s};
         stack().push_header(m, *this, fields);
@@ -322,7 +309,7 @@ void Nak::handle_nakreq(Group& g, State& st, const Address& src, Reader r) {
         pass_down(g, out);
       } else {
         // No longer buffered: the receiver gets a LOST_MESSAGE placeholder.
-        bump(placeholders_sent_);
+        if (obs::enabled()) placeholders_sent_.add();
         HLOG_DEBUG("NAK") << stack().address().id << " placeholder for "
                          << src.id << " stream=" << stream << " epoch=" << epoch
                          << " seq=" << s << " (my epoch " << st.epoch
@@ -529,7 +516,7 @@ void Nak::nak_stream(Group& g, const Address& src, std::uint64_t stream,
   w.varint(epoch);
   w.varint(from);
   w.varint(to);
-  bump(requests_sent_);
+  if (obs::enabled()) requests_sent_.add();
   send_control(g, src, kNakReq, stream, epoch, 0, w.data());
 }
 

@@ -139,11 +139,10 @@ class Nak final : public Layer {
   void on_view(Group& g, State& st, const View& v);
 
   LayerInfo info_;
-  // Registry counters (docs/obs.md), resolved once; null when the
-  // HORUS_METRICS probes are compiled out.
-  obs::Counter* requests_sent_ = nullptr;
-  obs::Counter* retransmitted_ = nullptr;
-  obs::Counter* placeholders_sent_ = nullptr;
+  // Registry counters (docs/obs.md), resolved once.
+  obs::Counter& requests_sent_;
+  obs::Counter& retransmitted_;
+  obs::Counter& placeholders_sent_;
 };
 
 }  // namespace horus::layers

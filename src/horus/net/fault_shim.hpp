@@ -5,15 +5,14 @@
 // network -- a loopback 3-process run at 5% loss exercises NAK
 // retransmission for real.
 //
-// Determinism discipline is inherited from SimNetwork's RngFaultPolicy:
-// the shim draws from split RNG streams ("shim-drop" / "shim-dup" /
-// "shim-delay", derived from one seed via util::stream_seed), and every
-// decision consumes a fixed number of draws from each stream whatever the
-// outcome, so decision i is a pure function of (seed, i). On a real
-// network the *order* in which threads reach the shim is not
-// reproducible, but the fault schedule itself is, which keeps two runs
-// with the same seed statistically identical and makes "the run that
-// failed" describable by (seed, decision count).
+// Each datagram's fate comes from sim::RngFaultPolicy, the simulator's own
+// fault policy, seeded with the shim's seed: for the same seed and rates
+// the shim draws the decision sequence SimNetwork draws, and decision i is
+// a pure function of (seed, i). On a real network the *order* in which
+// datagrams reach the shim is not reproducible, but the fault schedule
+// itself is, which keeps two runs with the same seed statistically
+// identical and makes "the run that failed" describable by (seed,
+// decision count).
 //
 // Threading: like the transport it wraps, the shim is driven by the one
 // thread that runs the node's protocol code (a NodeRuntime's loop), which
@@ -25,8 +24,8 @@
 #include <vector>
 
 #include "horus/core/stack.hpp"
+#include "horus/sim/network.hpp"
 #include "horus/sim/scheduler.hpp"
-#include "horus/util/rng.hpp"
 
 namespace horus::net {
 
@@ -64,12 +63,10 @@ class FaultShimTransport final : public Transport {
   FaultShimTransport(Transport& inner, FaultShimConfig cfg,
                      sim::Scheduler* sched = nullptr);
 
-  void send(Address src, Address dst, ByteSpan datagram) override;
-  /// Per-destination fates, decided in dsts order (same indices as a
-  /// send() loop); survivors that leave immediately still go to the inner
-  /// transport as one batch.
-  void send_batch(Address src, std::span<const Address> dsts,
-                  ByteSpan datagram) override;
+  /// Per-destination fates, decided in dsts order; survivors that leave
+  /// immediately still go to the inner transport as one send.
+  void send(Address src, std::span<const Address> dsts,
+            ByteSpan datagram) override;
 
   [[nodiscard]] const FaultShimStats& stats() const { return stats_; }
   /// Decisions made so far (the next decision's index) -- the shim's
@@ -77,25 +74,15 @@ class FaultShimTransport final : public Transport {
   [[nodiscard]] std::uint64_t decisions_made() const { return next_decision_; }
 
  private:
-  struct Fate {
-    bool drop = false;
-    bool duplicate = false;
-    sim::Duration delay = 0;
-    sim::Duration dup_delay = 0;
-  };
-  /// Consumes exactly one decision index; fixed draws per stream.
-  Fate decide();
   void dispatch(Address src, Address dst, ByteSpan datagram,
                 sim::Duration delay);
 
   Transport* inner_;
-  FaultShimConfig cfg_;
   sim::Scheduler* sched_;
-  Rng drop_;
-  Rng dup_;
-  Rng delay_rng_;
+  sim::RngFaultPolicy policy_;
+  sim::LinkParams params_;  // the shim's rates as the policy reads them
   std::uint64_t next_decision_ = 0;
-  std::vector<Address> now_;  // send_batch scratch: copies that leave now
+  std::vector<Address> now_;  // send scratch: copies that leave now
   FaultShimStats stats_;
 };
 

@@ -61,7 +61,7 @@ NodeRuntime::NodeRuntime(const AddressBook& book, Address self,
     : book_(book),
       self_(self),
       cfg_(std::move(cfg)),
-      udp_(book_, self_, cfg_.udp),
+      udp_(book_, self_, cfg_.stack.mtu),
       start_ns_(monotonic_ns()),
       epoll_fd_(checked(::epoll_create1(EPOLL_CLOEXEC), "node: epoll_create1")),
       timer_fd_(checked(::timerfd_create(CLOCK_MONOTONIC,
@@ -69,8 +69,6 @@ NodeRuntime::NodeRuntime(const AddressBook& book, Address self,
                         "node: timerfd_create")),
       wake_fd_(checked(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC),
                        "node: eventfd")) {
-  // FRAG must target what the socket will carry, not its own default.
-  cfg_.stack.mtu = cfg_.udp.mtu;
   Transport* wire = &udp_;
   if (cfg_.enable_fault_shim) {
     shim_ = std::make_unique<FaultShimTransport>(udp_, cfg_.faults, &sched_);

@@ -15,8 +15,8 @@
 //     changes threads inside the node;
 //   * virtual time is microseconds of the monotonic clock since the runtime
 //     was built, so the same layer code runs unmodified against real time;
-//   * the transport MTU is plumbed into StackConfig::mtu, so FRAG
-//     fragments to what the socket will actually carry;
+//   * the socket takes its MTU from StackConfig::mtu, so FRAG fragments
+//     to what the socket will actually carry;
 //   * shutdown stops and joins the loop, runs what is left in the inbox on
 //     the calling thread, and keeps the endpoint for inspection.
 //
@@ -45,9 +45,8 @@ namespace horus::net {
 struct NodeConfig {
   /// Stack spec for the node's base stack, top to bottom.
   std::string spec = "MBRSHIP:FRAG:NAK:COM";
-  /// Stack tuning. `stack.mtu` is overwritten with `udp.mtu`.
+  /// Stack tuning. `stack.mtu` also bounds the UDP socket's datagrams.
   StackConfig stack;
-  UdpConfig udp;
   /// Wire fault injection; installed only when enable_fault_shim is set
   /// (a zero-rate shim still costs an RNG decision per datagram).
   FaultShimConfig faults;

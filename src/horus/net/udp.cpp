@@ -3,12 +3,12 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
-#include <vector>
 
 #include "horus/util/log.hpp"
 
@@ -18,6 +18,13 @@ namespace {
 [[noreturn]] void sys_fail(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
+
+/// How long a send polls for POLLOUT when the socket buffer is full before
+/// dropping (best-effort transport: drop, never block forever).
+constexpr int kFullSockWaitMs = 50;
+/// Kernel socket buffer sizes.
+constexpr int kSoRcvbuf = 1 << 20;
+constexpr int kSoSndbuf = 1 << 20;
 
 void close_if(int& fd) {
   if (fd >= 0) {
@@ -29,30 +36,21 @@ void close_if(int& fd) {
 }  // namespace
 
 UdpTransport::UdpTransport(const AddressBook& book, Address self,
-                           UdpConfig cfg)
-    : book_(book), self_(self), cfg_(cfg) {
+                           std::size_t mtu)
+    : book_(book), self_(self), mtu_(mtu) {
   const PeerEntry* me = book_.find(self);
   if (me == nullptr) {
     throw std::invalid_argument(
         "udp: address book has no entry for local id " +
         std::to_string(self.id) + " (a node must be able to find itself)");
   }
-  if (cfg_.rx_batch == 0 || cfg_.tx_batch == 0) {
-    throw std::invalid_argument("udp: rx_batch/tx_batch must be >= 1");
-  }
   fd_ = ::socket(me->sa.ss_family, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                  0);
   if (fd_ < 0) sys_fail("udp: socket");
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (cfg_.so_rcvbuf > 0) {
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &cfg_.so_rcvbuf,
-                 sizeof(cfg_.so_rcvbuf));
-  }
-  if (cfg_.so_sndbuf > 0) {
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &cfg_.so_sndbuf,
-                 sizeof(cfg_.so_sndbuf));
-  }
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &kSoRcvbuf, sizeof(kSoRcvbuf));
+  ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &kSoSndbuf, sizeof(kSoSndbuf));
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&me->sa), me->sa_len) <
       0) {
     int saved = errno;
@@ -106,7 +104,7 @@ bool UdpTransport::send_one(const PeerEntry& peer, ByteSpan datagram) {
     }
     stats_.tx_eagain_retries.fetch_add(1, std::memory_order_relaxed);
     pollfd pfd{fd_, POLLOUT, 0};
-    int r = ::poll(&pfd, 1, cfg_.full_sock_wait_ms);
+    int r = ::poll(&pfd, 1, kFullSockWaitMs);
     if (r <= 0) {
       // Buffer stayed full for the whole grace period: drop (P1 permits
       // it, and blocking the node loop would be worse).
@@ -116,23 +114,9 @@ bool UdpTransport::send_one(const PeerEntry& peer, ByteSpan datagram) {
   }
 }
 
-void UdpTransport::send(Address /*src*/, Address dst, ByteSpan datagram) {
-  if (datagram.size() > cfg_.mtu) {
-    stats_.tx_oversize_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const PeerEntry* peer = book_.find(dst);
-  if (peer == nullptr) {
-    stats_.tx_unroutable.fetch_add(1, std::memory_order_relaxed);
-    HLOG_DEBUG("UDP") << "unroutable destination " << dst.id;
-    return;
-  }
-  send_one(*peer, datagram);
-}
-
-void UdpTransport::send_batch(Address /*src*/, std::span<const Address> dsts,
-                              ByteSpan datagram) {
-  if (datagram.size() > cfg_.mtu) {
+void UdpTransport::send(Address /*src*/, std::span<const Address> dsts,
+                        ByteSpan datagram) {
+  if (datagram.size() > mtu_) {
     stats_.tx_oversize_dropped.fetch_add(dsts.size(),
                                          std::memory_order_relaxed);
     return;
@@ -158,13 +142,11 @@ void UdpTransport::send_batch(Address /*src*/, std::span<const Address> dsts,
   // One iovec shared by every message: the same bytes go to each
   // destination (sendmmsg never writes through msg_iov).
   iovec iov{const_cast<std::uint8_t*>(datagram.data()), datagram.size()};
-  std::vector<mmsghdr> msgs(std::min<std::size_t>(peers.size(),
-                                                  cfg_.tx_batch));
   std::size_t next = 0;
   while (next < peers.size()) {
-    std::size_t n = std::min<std::size_t>(peers.size() - next, msgs.size());
+    std::size_t n = std::min<std::size_t>(peers.size() - next, kBatch);
     for (std::size_t i = 0; i < n; ++i) {
-      mmsghdr& m = msgs[i];
+      mmsghdr& m = tx_msgs_[i];
       std::memset(&m, 0, sizeof(m));
       m.msg_hdr.msg_name =
           const_cast<sockaddr_storage*>(&peers[next + i]->sa);
@@ -172,13 +154,13 @@ void UdpTransport::send_batch(Address /*src*/, std::span<const Address> dsts,
       m.msg_hdr.msg_iov = &iov;
       m.msg_hdr.msg_iovlen = 1;
     }
-    int sent = ::sendmmsg(fd_, msgs.data(), static_cast<unsigned>(n), 0);
+    int sent = ::sendmmsg(fd_, tx_msgs_.data(), static_cast<unsigned>(n), 0);
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         stats_.tx_eagain_retries.fetch_add(1, std::memory_order_relaxed);
         pollfd pfd{fd_, POLLOUT, 0};
-        if (::poll(&pfd, 1, cfg_.full_sock_wait_ms) > 0) continue;
+        if (::poll(&pfd, 1, kFullSockWaitMs) > 0) continue;
       }
       // Grace period expired (or hard error): drop the rest best-effort.
       stats_.tx_full_dropped.fetch_add(peers.size() - next,
@@ -197,31 +179,23 @@ void UdpTransport::send_batch(Address /*src*/, std::span<const Address> dsts,
 
 void UdpTransport::read_burst() {
   stats_.rx_wakeups.fetch_add(1, std::memory_order_relaxed);
-  const unsigned batch = cfg_.rx_batch;
   // Persistent receive slots: the kernel writes each datagram straight
   // into the Bytes that will be delivered; only slots actually consumed
   // are re-allocated.
-  std::vector<Bytes>& bufs = rx_bufs_;
-  if (bufs.size() != batch) {
-    bufs.assign(batch, Bytes());
-  }
-  std::vector<mmsghdr> msgs(batch);
-  std::vector<iovec> iovs(batch);
-  std::vector<sockaddr_storage> srcs(batch);
   for (;;) {
-    for (unsigned i = 0; i < batch; ++i) {
-      if (bufs[i].size() != cfg_.mtu) bufs[i].resize(cfg_.mtu);
-      iovs[i] = {bufs[i].data(), bufs[i].size()};
-      std::memset(&msgs[i], 0, sizeof(msgs[i]));
-      msgs[i].msg_hdr.msg_name = &srcs[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof(srcs[i]);
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
+    for (unsigned i = 0; i < kBatch; ++i) {
+      if (rx_bufs_[i].size() != mtu_) rx_bufs_[i].resize(mtu_);
+      rx_iovs_[i] = {rx_bufs_[i].data(), rx_bufs_[i].size()};
+      std::memset(&rx_msgs_[i], 0, sizeof(rx_msgs_[i]));
+      rx_msgs_[i].msg_hdr.msg_name = &rx_srcs_[i];
+      rx_msgs_[i].msg_hdr.msg_namelen = sizeof(rx_srcs_[i]);
+      rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
+      rx_msgs_[i].msg_hdr.msg_iovlen = 1;
     }
-    int got = ::recvmmsg(fd_, msgs.data(), batch, MSG_DONTWAIT, nullptr);
+    int got = ::recvmmsg(fd_, rx_msgs_.data(), kBatch, MSG_DONTWAIT, nullptr);
     if (got <= 0) break;  // EAGAIN: socket drained (or transient error)
     for (int i = 0; i < got; ++i) {
-      if ((msgs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
+      if ((rx_msgs_[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
         // Bigger than our MTU-sized buffer: the tail is already lost, so
         // the whole datagram is dropped (FRAG on the sender prevents this
         // between well-configured nodes).
@@ -229,25 +203,25 @@ void UdpTransport::read_burst() {
         continue;
       }
       const PeerEntry* sender = book_.find_sender(
-          reinterpret_cast<const sockaddr*>(&srcs[i]),
-          msgs[i].msg_hdr.msg_namelen);
+          reinterpret_cast<const sockaddr*>(&rx_srcs_[i]),
+          rx_msgs_[i].msg_hdr.msg_namelen);
       if (sender == nullptr) {
         // Not in the book: nothing downstream can authenticate or route a
         // reply, so the bytes never reach protocol code.
         stats_.rx_unknown_peer.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      std::size_t len = msgs[i].msg_len;
+      std::size_t len = rx_msgs_[i].msg_len;
       stats_.rx_datagrams.fetch_add(1, std::memory_order_relaxed);
       stats_.rx_bytes.fetch_add(len, std::memory_order_relaxed);
-      Bytes buf = std::move(bufs[i]);
+      Bytes buf = std::move(rx_bufs_[i]);
       buf.resize(len);  // shrink: no reallocation, no copy
       // On the loop thread the endpoint's post runs inline: the datagram
       // goes through the stack before the next one is looked at.
       endpoint_->deliver_datagram(
           sender->addr, std::make_shared<const Bytes>(std::move(buf)));
     }
-    if (static_cast<unsigned>(got) < batch) break;  // drained in one gulp
+    if (static_cast<unsigned>(got) < kBatch) break;  // drained in one gulp
   }
 }
 

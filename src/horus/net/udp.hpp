@@ -12,7 +12,7 @@
 //     buffer is absorbed by a short poll(POLLOUT) retry loop (counted)
 //     before the datagram is dropped best-effort. Multi-destination
 //     fan-out (the COM broadcast path) goes through sendmmsg: one syscall
-//     per tx_batch destinations.
+//     per 16 destinations; a single destination goes through sendto.
 //
 //   * Rx has no thread of its own. The owner watches fd() for readability
 //     and calls read_burst(), which drains the socket with recvmmsg into
@@ -31,6 +31,10 @@
 // stats are read from other threads.
 #pragma once
 
+#include <sys/socket.h>
+#include <sys/uio.h>
+
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -40,23 +44,6 @@
 #include "horus/net/address_book.hpp"
 
 namespace horus::net {
-
-struct UdpConfig {
-  /// Largest datagram this transport will put on (or accept from) the
-  /// wire. Sends above it are dropped and counted -- the stack's FRAG
-  /// layer is supposed to make them impossible (plumb this same value
-  /// into StackConfig::mtu; NodeRuntime does).
-  std::size_t mtu = 1400;
-  /// Datagrams per recvmmsg / destinations per sendmmsg syscall.
-  unsigned rx_batch = 16;
-  unsigned tx_batch = 16;
-  /// How long a send will poll for POLLOUT when the socket buffer is full
-  /// before dropping (best-effort transport: drop, never block forever).
-  int full_sock_wait_ms = 50;
-  /// Kernel socket buffer sizes; 0 keeps the system default.
-  int so_rcvbuf = 1 << 20;
-  int so_sndbuf = 1 << 20;
-};
 
 /// Wire counters, mirroring sim::NetStats for the real transport. Atomics:
 /// the node loop counts while other threads read (perfbench, and the
@@ -90,18 +77,20 @@ class UdpTransport final : public Transport {
  public:
   /// Opens and binds the socket immediately (so construction fails fast on
   /// a taken port). `self` must be in the book; its entry is the bind
-  /// address. Throws std::invalid_argument for book problems and
-  /// std::system_error for socket failures.
-  UdpTransport(const AddressBook& book, Address self, UdpConfig cfg = {});
+  /// address. `mtu` is the largest datagram this transport puts on (or
+  /// accepts from) the wire: larger sends are dropped and counted, which
+  /// the stack's FRAG layer prevents when it fragments to the same value
+  /// (NodeRuntime passes StackConfig::mtu). Throws std::invalid_argument
+  /// for book problems and std::system_error for socket failures.
+  UdpTransport(const AddressBook& book, Address self, std::size_t mtu);
   ~UdpTransport() override;
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
   // -- Transport --------------------------------------------------------------
 
-  void send(Address src, Address dst, ByteSpan datagram) override;
-  void send_batch(Address src, std::span<const Address> dsts,
-                  ByteSpan datagram) override;
+  void send(Address src, std::span<const Address> dsts,
+            ByteSpan datagram) override;
 
   // -- rx ---------------------------------------------------------------------
 
@@ -118,7 +107,7 @@ class UdpTransport final : public Transport {
   void read_burst();
 
   [[nodiscard]] Address self() const { return self_; }
-  [[nodiscard]] const UdpConfig& config() const { return cfg_; }
+  [[nodiscard]] std::size_t mtu() const { return mtu_; }
   [[nodiscard]] const UdpStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
   /// The port actually bound (== the book's entry for self).
@@ -131,14 +120,22 @@ class UdpTransport final : public Transport {
 
   AddressBook book_;  // copied: the transport outlives the caller's book
   Address self_;
-  UdpConfig cfg_;
+  std::size_t mtu_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   Endpoint* endpoint_ = nullptr;
-  /// Receive slots, reused across bursts.
-  std::vector<Bytes> rx_bufs_;
-  /// send_batch scratch: the routed destinations of one fan-out.
+  /// Datagrams per recvmmsg and destinations per sendmmsg syscall.
+  static constexpr unsigned kBatch = 16;
+  /// read_burst scratch: receive slots (the kernel writes straight into the
+  /// Bytes that are delivered), their iovecs, headers and source addresses.
+  std::array<Bytes, kBatch> rx_bufs_;
+  std::array<iovec, kBatch> rx_iovs_{};
+  std::array<mmsghdr, kBatch> rx_msgs_{};
+  std::array<sockaddr_storage, kBatch> rx_srcs_{};
+  /// send scratch: the routed destinations of one fan-out, and the headers
+  /// of one sendmmsg call.
   std::vector<const PeerEntry*> tx_peers_;
+  std::array<mmsghdr, kBatch> tx_msgs_{};
   UdpStats stats_;
 };
 

@@ -224,17 +224,4 @@ MetricsRegistry& metrics() {
   return *reg;
 }
 
-std::function<void()> wrap_queue_delay_probe(std::function<void()> t) {
-  if (!enabled() || !sample_tick()) return t;
-  // Resolved once: the registry hands out stable addresses.
-  static Gauge& gauge = metrics().gauge("exec.queue_delay_ns");
-  static Histogram& hist = metrics().histogram("exec.queue_delay_hist_ns");
-  return [t = std::move(t), t0 = now_ns()] {
-    std::uint64_t d = now_ns() - t0;
-    gauge.set(static_cast<std::int64_t>(d));
-    hist.record(d);
-    t();
-  };
-}
-
 }  // namespace horus::obs

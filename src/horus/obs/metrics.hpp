@@ -18,13 +18,11 @@
 //  * consistent snapshots and a Prometheus text-exposition serializer
 //    (horus-node --metrics-dump, horus-check --metrics).
 //
-// Compile gate: the *probes* (Stack latency tracing, executor queue-delay
-// sampling, the flight recorder hooks) are compiled under -DHORUS_METRICS
-// (a CMake option, default ON). The registry itself always builds, so
-// tools can link and dump it unconditionally; with the flag off it simply
-// never sees the hot-path instruments. At runtime set_enabled(false)
-// short-circuits every probe behind one relaxed load (bench_obs measures
-// the enabled-vs-disabled delta on the deepest-stack cast).
+// The *probes* (Stack latency tracing, executor queue-delay sampling, the
+// flight recorder hooks) are always compiled in. At runtime
+// set_enabled(false) short-circuits every probe behind one relaxed load
+// (bench_obs measures the enabled-vs-disabled delta on the deepest-stack
+// cast).
 #pragma once
 
 #include <array>
@@ -192,7 +190,7 @@ namespace detail {
 inline std::atomic<bool> g_metrics_enabled{true};
 }  // namespace detail
 
-/// Global runtime switch for every HORUS_METRICS probe. Inline so a probe
+/// Global runtime switch for every hot-path probe. Inline so a probe
 /// site pays one relaxed load, not a cross-TU call -- the stack makes
 /// ~50 such checks per deep cast.
 [[nodiscard]] inline bool enabled() {
@@ -221,12 +219,5 @@ inline bool sample_tick() {
   thread_local std::uint32_t n = 0;
   return (n++ & 0x3Fu) == 0;
 }
-
-/// Wrap an executor task with the sampled post->run queue-delay probe
-/// (gauge `exec.queue_delay_ns` + histogram `exec.queue_delay_hist_ns`).
-/// Returns the task unchanged when metrics are disabled or the sample
-/// tick misses, so the common case costs one relaxed load.
-[[nodiscard]] std::function<void()> wrap_queue_delay_probe(
-    std::function<void()> t);
 
 }  // namespace horus::obs

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#ifdef HORUS_METRICS
 #include "horus/obs/metrics.hpp"
-#endif
 
 namespace horus::runtime {
 namespace {
@@ -27,34 +25,40 @@ struct RunningGuard {
 /// sets it). Only loop threads ever set it, and they end with their node.
 thread_local const GroupExecutor* t_loop_of = nullptr;
 
-}  // namespace
-
-Task Executor::wrap(Task t) {
-#ifdef HORUS_METRICS
-  t = obs::wrap_queue_delay_probe(std::move(t));
-#endif
-  return t;
+/// The sampled post->run delay: gauge `exec.queue_delay_ns` and histogram
+/// `exec.queue_delay_hist_ns` (docs/obs.md).
+void record_queue_delay(std::uint64_t d) {
+  // Resolved once: the registry hands out stable addresses.
+  static obs::Gauge& gauge = obs::metrics().gauge("exec.queue_delay_ns");
+  static obs::Histogram& hist =
+      obs::metrics().histogram("exec.queue_delay_hist_ns");
+  gauge.set(static_cast<std::int64_t>(d));
+  hist.record(d);
 }
 
-void GroupExecutor::enqueue(GroupKey key, Task t) {
+}  // namespace
+
+void GroupExecutor::post(GroupKey key, Task t) {
+  Slot s{key, obs::enabled() && obs::sample_tick() ? obs::now_ns() : 0,
+         std::move(t)};
   if (wake_ && t_loop_of != this) {
     bool was_empty = false;
     {
       util::MutexLock lock(inbox_mu_);
       was_empty = inbox_.empty();
-      inbox_.emplace_back(key, std::move(t));
+      inbox_.push_back(std::move(s));
     }
     // A non-empty inbox already has a wake-up on its way.
     if (was_empty) wake_();
     return;
   }
-  push(key, std::move(t));
+  push(std::move(s));
   run();
 }
 
-void GroupExecutor::push(GroupKey key, Task t) {
+void GroupExecutor::push(Slot s) {
   if (size_ == ring_.size()) grow();
-  ring_[(head_ + size_) & (ring_.size() - 1)] = {key, std::move(t)};
+  ring_[(head_ + size_) & (ring_.size() - 1)] = std::move(s);
   ++size_;
 }
 
@@ -62,17 +66,18 @@ void GroupExecutor::run() {
   if (running_) return;  // the draining frame below us will pick it up
   RunningGuard guard(running_);
   while (size_ != 0) {
-    auto [k, task] = std::move(ring_[head_]);
+    Slot s = std::move(ring_[head_]);
     head_ = (head_ + 1) & (ring_.size() - 1);
     --size_;
     ++executed_;
-    if (trace_) trace_(k, executed_);
-    task();  // may throw: guard unlatches running_, the rest stay queued
+    if (trace_) trace_(s.key, executed_);
+    if (s.posted_ns != 0) record_queue_delay(obs::now_ns() - s.posted_ns);
+    s.task();  // may throw: guard unlatches running_, the rest stay queued
   }
 }
 
 void GroupExecutor::grow() {
-  std::vector<std::pair<GroupKey, Task>> bigger(
+  std::vector<Slot> bigger(
       std::max<std::size_t>(16, 2 * ring_.size()));
   for (std::size_t i = 0; i < size_; ++i) {
     bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
@@ -83,7 +88,7 @@ void GroupExecutor::grow() {
 
 void GroupExecutor::take_inbox() {
   util::MutexLock lock(inbox_mu_);
-  for (auto& [key, t] : inbox_) push(key, std::move(t));
+  for (Slot& s : inbox_) push(std::move(s));
   inbox_.clear();
 }
 

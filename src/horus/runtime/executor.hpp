@@ -42,13 +42,7 @@ class Executor {
   virtual ~Executor() = default;
   /// Submit a task bound to a group, the unit of mutual exclusion
   /// (Section 3). Depending on the model it may run before post returns.
-  void post(GroupKey key, Task t) { enqueue(key, wrap(std::move(t))); }
-
- private:
-  /// The one place tasks are instrumented: the queue-delay probe.
-  static Task wrap(Task t);
-  /// Queue (or run) an already-wrapped task.
-  virtual void enqueue(GroupKey key, Task t) = 0;
+  virtual void post(GroupKey key, Task t) = 0;
 };
 
 /// The per-group monitor (Section 3 read literally: "one thread at a time
@@ -87,9 +81,19 @@ class GroupExecutor final : public Executor {
   [[nodiscard]] std::size_t pending() const { return size_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
+  void post(GroupKey key, Task t) override;
+
  private:
-  void enqueue(GroupKey key, Task t) override;
-  void push(GroupKey key, Task t);
+  /// One queued task. `posted_ns` is the post time of a task the
+  /// queue-delay probe sampled (1 in 64 while obs::enabled()), else 0; run()
+  /// records the delay just before the task starts.
+  struct Slot {
+    GroupKey key = kNoGroup;
+    std::uint64_t posted_ns = 0;
+    Task task;
+  };
+
+  void push(Slot s);
   /// Drain the FIFO unless a frame below us already does.
   void run();
   void grow();
@@ -100,7 +104,7 @@ class GroupExecutor final : public Executor {
   // are reused in place, so once warmed up a post touches the heap for
   // nothing but the task itself (a std::deque allocates a chunk every
   // dozen tasks).
-  std::vector<std::pair<GroupKey, Task>> ring_;
+  std::vector<Slot> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   std::uint64_t executed_ = 0;
@@ -110,7 +114,7 @@ class GroupExecutor final : public Executor {
   // The inbox is the one place other threads meet the loop thread: their
   // posts go in, the loop's take_inbox takes them out.
   util::Mutex inbox_mu_;
-  std::vector<std::pair<GroupKey, Task>> inbox_ GUARDED_BY(inbox_mu_);
+  std::vector<Slot> inbox_ GUARDED_BY(inbox_mu_);
 };
 
 }  // namespace horus::runtime

@@ -135,12 +135,10 @@ class SimNetwork {
   /// Best-effort datagram send.
   void send(NodeId src, NodeId dst, ByteSpan data);
 
-  /// One datagram to many destinations in one call (the
-  /// Transport::send_batch path). Behaviorally identical to calling
-  /// send() once per destination in order -- the same fault decisions are
-  /// made with the same indices, so horus-check recordings stay aligned
-  /// whether a stack uses the batched or the per-destination wire path --
-  /// but all clean deliveries share one buffer copy.
+  /// One datagram to many destinations in one call (what SimTransport's
+  /// Transport::send calls). Behaviorally identical to calling send() once
+  /// per destination in order -- the same fault decisions are made with
+  /// the same indices -- but all clean deliveries share one buffer copy.
   void send_multi(NodeId src, std::span<const NodeId> dsts, ByteSpan data);
 
   /// Default parameters for links without an override.

@@ -30,7 +30,7 @@ struct MsgPathStats {
   std::atomic<std::uint64_t> trains_unpacked{0};    ///< packed datagrams fanned out
   std::atomic<std::uint64_t> casts_unpacked{0};     ///< casts delivered out of trains
   std::atomic<std::uint64_t> corrupt_trains{0};     ///< undecodable trains dropped whole
-  std::atomic<std::uint64_t> batch_sends{0};        ///< multi-destination Transport::send_batch calls
+  std::atomic<std::uint64_t> batch_sends{0};        ///< Transport::send calls with 2+ destinations
 
   // Live reconfiguration (epoch-versioned stacks).
   std::atomic<std::uint64_t> reconfigs_requested{0};  ///< reconfigure() accepted

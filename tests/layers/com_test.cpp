@@ -192,7 +192,7 @@ TEST(Com, EmptyPayloadCast) {
 }
 
 TEST(Com, CastUsesOneBatchedTransportSend) {
-  // COM's fan-out goes through Transport::send_batch: one egress call per
+  // COM's fan-out goes through one Transport::send: one egress call per
   // cast (and one SimNetwork::send_multi burst), not one per member.
   ComWorld w(4);
   msg_path_stats().reset();

@@ -118,8 +118,11 @@ struct CaptureTransport final : Transport {
     Bytes bytes;
   };
   std::vector<Frame> sent;
-  void send(Address src, Address dst, ByteSpan datagram) override {
-    sent.push_back({src, dst, Bytes(datagram.begin(), datagram.end())});
+  void send(Address src, std::span<const Address> dsts,
+            ByteSpan datagram) override {
+    for (const Address& dst : dsts) {
+      sent.push_back({src, dst, Bytes(datagram.begin(), datagram.end())});
+    }
   }
   /// Frames sent to `dst` since the last take, in send order.
   std::vector<Bytes> take(Address dst) {

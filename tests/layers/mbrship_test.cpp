@@ -225,8 +225,7 @@ class HoldFirstExecutor final : public runtime::Executor {
  public:
   void release() { run(std::move(held_)); }
 
- private:
-  void enqueue(runtime::GroupKey /*key*/, runtime::Task t) override {
+  void post(runtime::GroupKey /*key*/, runtime::Task t) override {
     if (!held_any_) {
       held_any_ = true;
       held_ = std::move(t);
@@ -234,6 +233,8 @@ class HoldFirstExecutor final : public runtime::Executor {
     }
     run(std::move(t));
   }
+
+ private:
   void run(runtime::Task t) {
     queue_.push_back(std::move(t));
     if (running_) return;

@@ -10,13 +10,6 @@
 namespace horus::testing {
 namespace {
 
-// NAK bumps its registry counters only when the probes are compiled in.
-#ifdef HORUS_METRICS
-constexpr bool kCounted = true;
-#else
-constexpr bool kCounted = false;
-#endif
-
 std::uint64_t registry_count(const std::string& name) {
   return obs::metrics().counter(name).value();
 }
@@ -160,10 +153,8 @@ TEST(Nak, LostMessagePlaceholderOnBufferOverflow) {
   const std::uint64_t placeholders0 = registry_count("nak.placeholders_sent");
   sys.run_for(5 * sim::kSecond);
   EXPECT_GT(lb.lost.size(), 0u) << "expected LOST_MESSAGE placeholders";
-  if (kCounted) {
-    EXPECT_EQ(registry_count("nak.placeholders_sent") - placeholders0,
-              lb.lost.size());
-  }
+  EXPECT_EQ(registry_count("nak.placeholders_sent") - placeholders0,
+            lb.lost.size());
   EXPECT_GT(lb.casts.size(), 0u) << "tail casts must still arrive";
   EXPECT_EQ(lb.lost.size() + lb.casts.size(), 20u)
       << "every sequence number accounted for: delivered or reported lost";
@@ -317,11 +308,9 @@ TEST(Nak, GapRepairedWithinATenthOfResendTimeout) {
     worst = std::max(worst, got[i] - sent[i]);
   }
   EXPECT_LE(worst, bound);
-  if (kCounted) {
-    // Each drop costs exactly one request and one retransmission.
-    EXPECT_EQ(registry_count("nak.requests_sent") - requests0, 3u);
-    EXPECT_EQ(registry_count("nak.retransmissions") - retrans0, 3u);
-  }
+  // Each drop costs exactly one request and one retransmission.
+  EXPECT_EQ(registry_count("nak.requests_sent") - requests0, 3u);
+  EXPECT_EQ(registry_count("nak.retransmissions") - retrans0, 3u);
 }
 
 // A reordered datagram arrives within the reorder allowance, so reordering

@@ -276,8 +276,11 @@ TEST(Pack, SendIsABarrierAndIsNeverPacked) {
 /// Transport that records every datagram instead of delivering it.
 struct CaptureTransport final : Transport {
   std::vector<std::pair<Address, Bytes>> sent;
-  void send(Address, Address dst, ByteSpan datagram) override {
-    sent.emplace_back(dst, Bytes(datagram.begin(), datagram.end()));
+  void send(Address, std::span<const Address> dsts,
+            ByteSpan datagram) override {
+    for (const Address& dst : dsts) {
+      sent.emplace_back(dst, Bytes(datagram.begin(), datagram.end()));
+    }
   }
   std::vector<Bytes> to(Address dst) {
     std::vector<Bytes> out;

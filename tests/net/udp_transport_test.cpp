@@ -1,7 +1,7 @@
 // UdpTransport over real loopback sockets: datagrams through the kernel,
-// rx edge cases hitting exactly their drop counter, the batched sendmmsg
-// path carrying a real multicast fan-out, and a sender's own copy kept off
-// its socket.
+// tx and rx edge cases hitting exactly their drop counter, the stack's MTU
+// bounding the socket, the batched sendmmsg path carrying a real multicast
+// fan-out, and a sender's own copy kept off its socket.
 #include "horus/net/udp.hpp"
 
 #include <gtest/gtest.h>
@@ -21,25 +21,46 @@ using namespace std::chrono_literals;
 
 TEST(UdpTransport, RejectsBookWithoutSelf) {
   AddressBook book = AddressBook::parse("2 127.0.0.1:7002\n");
-  EXPECT_THROW(UdpTransport(book, Address{1}), std::invalid_argument);
+  EXPECT_THROW(UdpTransport(book, Address{1}, StackConfig{}.mtu),
+               std::invalid_argument);
 }
 
 TEST(UdpTransport, TxOversizeAndUnroutableBumpTheirCounters) {
   AddressBook book = AddressBook::parse(loopback_entry(1, free_port()));
-  UdpTransport udp(book, Address{1});
+  UdpTransport udp(book, Address{1}, StackConfig{}.mtu);
 
-  Bytes oversize(udp.config().mtu + 1, 0xab);
-  udp.send(Address{1}, Address{1}, oversize);
+  Bytes oversize(udp.mtu() + 1, 0xab);
+  const Address self[] = {Address{1}};
+  udp.send(Address{1}, self, oversize);
   EXPECT_EQ(udp.stats().tx_oversize_dropped.load(), 1u);
 
   Bytes small(32, 0x01);
-  udp.send(Address{1}, Address{99}, small);  // 99 is not in the book
+  const Address stranger[] = {Address{99}};  // 99 is not in the book
+  udp.send(Address{1}, stranger, small);
   EXPECT_EQ(udp.stats().tx_unroutable.load(), 1u);
 
   std::vector<Address> dsts = {Address{98}, Address{99}};
-  udp.send_batch(Address{1}, dsts, small);
+  udp.send(Address{1}, dsts, small);
   EXPECT_EQ(udp.stats().tx_unroutable.load(), 3u);
   EXPECT_EQ(udp.stats().tx_datagrams.load(), 0u);
+}
+
+TEST(NodeRuntime, StackMtuBoundsTheSocket) {
+  // One MTU per node: the socket drops what the stack's FRAG would never
+  // produce at cfg.stack.mtu.
+  AddressBook book = AddressBook::parse(loopback_entry(1, free_port()));
+  NodeConfig cfg;
+  cfg.stack.mtu = 600;
+  NodeRuntime node(book, Address{1}, cfg);
+  EXPECT_EQ(node.udp().mtu(), 600u);
+  const UdpStats& s = node.udp().stats();
+  // The transport belongs to the node loop: send from a task there.
+  node.endpoint().executor().post(runtime::kNoGroup, [&node] {
+    const Address self[] = {Address{1}};
+    node.udp().send(Address{1}, self, Bytes(700, 0x5a));
+  });
+  ASSERT_TRUE(eventually([&] { return s.tx_oversize_dropped.load() == 1; }));
+  EXPECT_EQ(s.tx_datagrams.load(), 0u);
 }
 
 /// Fixture: one real node (id 1) plus two raw-socket identities -- id 2 is
@@ -65,7 +86,7 @@ class UdpRxEdgeCases : public ::testing::Test {
 
 TEST_F(UdpRxEdgeCases, TruncatedDatagramBumpsOnlyRxTruncated) {
   const UdpStats& s = node_->udp().stats();
-  Bytes huge(node_->udp().config().mtu + 50, 0x7f);
+  Bytes huge(node_->udp().mtu() + 50, 0x7f);
   known_peer_->send_to(node_->udp().local_port(), huge);
   ASSERT_TRUE(eventually([&] { return s.rx_truncated.load() == 1; }));
   EXPECT_EQ(s.rx_unknown_peer.load(), 0u);

@@ -7,6 +7,7 @@
 #include "../common/test_util.hpp"
 #include "horus/obs/flight_recorder.hpp"
 #include "horus/obs/metrics.hpp"
+#include "horus/runtime/executor.hpp"
 
 namespace horus::testing {
 namespace {
@@ -161,19 +162,21 @@ TEST(ObsRegistry, ProcessRegistryMirrorsMsgPathAndRaceIslands) {
 
 // -- Queue-delay probe ------------------------------------------------------
 
-TEST(ObsProbe, WrappedTaskStillRunsWhetherSampledOrNot) {
+TEST(ObsProbe, GroupExecutorSamplesQueueDelayWithoutWrappingTasks) {
+  obs::Histogram& hist = obs::metrics().histogram("exec.queue_delay_hist_ns");
+  runtime::GroupExecutor exec;
   int runs = 0;
-  // Drive past the 1/64 sample period so both branches are exercised.
-  for (int i = 0; i < 80; ++i) {
-    auto t = obs::wrap_queue_delay_probe([&runs] { ++runs; });
-    t();
-  }
-  EXPECT_EQ(runs, 80);
+  const std::uint64_t before = hist.count();
+  // 128 posts cross the 1/64 sample period at least once.
+  for (int i = 0; i < 128; ++i) exec.post(1, [&runs] { ++runs; });
+  EXPECT_EQ(runs, 128);
+  EXPECT_GE(hist.count() - before, 2u);
   obs::set_enabled(false);
-  auto t = obs::wrap_queue_delay_probe([&runs] { ++runs; });
-  t();
+  const std::uint64_t dark = hist.count();
+  for (int i = 0; i < 128; ++i) exec.post(1, [&runs] { ++runs; });
   obs::set_enabled(true);
-  EXPECT_EQ(runs, 81);
+  EXPECT_EQ(runs, 256);
+  EXPECT_EQ(hist.count(), dark);
 }
 
 // -- Flight recorder --------------------------------------------------------
@@ -235,7 +238,6 @@ TEST(ObsFlight, DumpNamesLayersAndCapsWindow) {
   EXPECT_EQ(fr.dump(5), "");
 }
 
-#ifdef HORUS_METRICS
 // -- End to end: stack probes feed the registry and the recorder ------------
 
 TEST(ObsIntegration, CastThroughStackFeedsMetricsAndFlightRecorder) {
@@ -288,7 +290,6 @@ TEST(ObsIntegration, DisabledSwitchStopsCounting) {
   const obs::Snapshot::Sample* b = before.find_counter("stack.forward_down");
   EXPECT_EQ(a ? a->value : 0, b ? b->value : 0);
 }
-#endif  // HORUS_METRICS
 
 }  // namespace
 }  // namespace horus::testing

@@ -455,7 +455,7 @@ int main(int argc, char** argv) {
     }
     std::string flight = horus::obs::flight_recorder().dump_all();
     if (flight.empty()) {
-      flight = "flight recorder empty (built with HORUS_METRICS=OFF?)\n";
+      flight = "flight recorder empty\n";
     }
     const std::string flight_path = repro_path + ".flight.txt";
     if (write_file(flight_path, flight)) {

@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   Args a = parse_args(argc, argv);
   net::NodeConfig cfg;
   cfg.spec = a.spec;
-  cfg.udp.mtu = static_cast<std::size_t>(a.mtu);
+  cfg.stack.mtu = static_cast<std::size_t>(a.mtu);
   if (a.drop > 0 || a.dup > 0 || a.delay_max_us > 0) {
     cfg.enable_fault_shim = true;
     cfg.faults.drop = a.drop;
